@@ -29,7 +29,6 @@ from .extremal import (
     MinimalityCertificate,
     crossover_table,
     enumerate_connected_underlying,
-    enumerate_orientations,
     orientation_coefficient_census,
     predicted_family,
     verify_quadrangle_bound,

@@ -8,10 +8,13 @@ convention sum (-1)^k a_k x^(n-k) stores identical numbers, since the
 odd terms vanish and (-1)^(2i) = 1; the two conventions agree on
 everything kept here.)
 
-The production algorithm is the trace recursion of Faddeev-LeVerrier
-run over exact integers.  Every division it performs is checked to be
-exact and the vanishing/nonnegativity structure is asserted; a
-violation raises RuntimeError because it can only mean a bug.
+The coefficients are computed exactly by one batched kernel: the
+even coefficients are the elementary symmetric functions of the
+squared singular values, whose power sums are traces of powers of
+S^T S, and Newton's identities turn those traces into coefficients.
+Every division is checked to be exact and the trace parity, the
+vanishing of e_(h+1) and nonnegativity are asserted; a violation
+raises RuntimeError because it can only mean a bug.
 """
 
 from __future__ import annotations
@@ -90,95 +93,64 @@ class QuasiOrder(Enum):
 
 @lru_cache(maxsize=None)
 def _int64_recursion_safe(n: int) -> bool:
-    """Whether the trace recursion for an n x n {-1,0,1} matrix fits in int64.
+    """Whether the Newton kernel for an n x n {-1,0,1} skew matrix fits in int64.
 
-    Entry bound: the k-th auxiliary matrix is sum_j c_j A^(k-1-j) with
-    |c_j| <= C(n,j) * j^ceil(j/2) (Hadamard on principal minors) and
-    |A^p| entries <= n^(p-1), so one more multiplication by A stays
-    below n * max_k sum_j C(n,j) j^ceil(j/2) n^(k-1-j).
+    With m arcs, M = S^T S has trace 2m, so its eigenvalues (each
+    lambda_j^2 twice) are at most m and the power sums satisfy
+    p_k <= m^k.  By Cauchy-Schwarz every partial sum of a product entry
+    of M^a (at most m^a) or of a trace sum(M^a o M^b) (at most 2 m^(a+b))
+    is bounded the same way, and e_k <= m^k / k!, so each Newton sum
+    stays below e * m^k.  Traces run up to k = h + 1 with h = n // 2,
+    and m <= C(n,2).
     """
-    worst = 0
-    for k in range(1, n + 1):
-        total = 0
-        for j in range(k):
-            cj = comb(n, j) * j ** ((j + 1) // 2) if j else 1
-            total += cj * n ** max(k - 1 - j, 0)
-        worst = max(worst, n * total + comb(n, k) * k ** ((k + 1) // 2))
-    return worst < 2**62
+    return 3 * comb(n, 2) ** (n // 2 + 1) < 2**63
 
 
-def _fl_coeffs(s: np.ndarray) -> list[int]:
-    """All coefficients [c_0..c_n] of det(xI - S), exact.
+def _even_coeffs_batch(s: np.ndarray) -> np.ndarray:
+    """Even coefficients (a_0, a_2, ..., a_2h) for a (B, n, n) stack of skew matrices.
 
-    Uses int64 when the entry bound allows it, otherwise Python
-    integers in an object array.  Raises RuntimeError on any non-exact
-    division or if the terminating Cayley-Hamilton identity fails.
-    """
-    n = s.shape[0]
-    if n == 0:
-        return [1]
-    work = s.astype(np.int64) if _int64_recursion_safe(n) else s.astype(object)
-    ident = np.eye(n, dtype=work.dtype)
-    coeffs = [1]
-    am = work.dot(ident)
-    for k in range(1, n + 1):
-        t = int(np.trace(am))
-        q, r = divmod(-t, k)
-        if r:
-            raise RuntimeError(
-                f"non-exact division at recursion step {k} (trace {t}); this is a bug"
-            )
-        coeffs.append(q)
-        if k < n:
-            m = am + q * ident
-            am = work.dot(m)
-    residual = am + coeffs[-1] * ident
-    if not np.equal(residual, 0).all():
-        raise RuntimeError("Cayley-Hamilton residual is nonzero; this is a bug")
-    return [int(c) for c in coeffs]
-
-
-def _fl_even_coeffs_batch(s: np.ndarray) -> np.ndarray:
-    """Even coefficients for a (B, n, n) int64 stack of skew matrices.
-
-    Same recursion as the scalar path, vectorized over the batch axis.
-    The caller is responsible for n passing _int64_recursion_safe.
+    With +-i lambda_j the eigenvalues of S and M = S^T S = -S^2, the
+    a_2k are the elementary symmetric functions e_k of the h = n // 2
+    values lambda_j^2, whose power sums are p_k = tr(M^k) / 2.  Newton's
+    identities k e_k = sum_i (-1)^(i-1) e_(k-i) p_i turn the traces into
+    coefficients, and tr(M^(a+b)) = sum(M^a o M^b) needs only the powers
+    up to M^ceil((h+1)/2).  Runs in int64 where _int64_recursion_safe
+    allows it and on Python integers in an object array otherwise.
+    Raises RuntimeError on an odd trace, a non-exact division, a
+    nonzero e_(h+1) (the trace form of Cayley-Hamilton) or a negative
+    coefficient, because each can only mean a bug.
     """
     b, n, _ = s.shape
-    out = np.empty((b, n // 2 + 1), dtype=np.int64)
-    out[:, 0] = 1
-    ident = np.eye(n, dtype=np.int64)
-    am = s.copy()
-    q = np.zeros(b, dtype=np.int64)
-    for k in range(1, n + 1):
-        t = np.einsum("bii->b", am)
-        if np.any((-t) % k):
-            raise RuntimeError(f"non-exact division at recursion step {k}; this is a bug")
-        q = (-t) // k
-        if k % 2:
-            if np.any(q):
-                raise RuntimeError(f"nonzero odd coefficient at step {k}; this is a bug")
+    h = n // 2
+    work = s.astype(np.int64 if _int64_recursion_safe(n) else object)
+    powers = [-(work @ work)]
+    for _ in range(h // 2):
+        powers.append(powers[-1] @ powers[0])
+    e = [np.ones(b, dtype=work.dtype)]
+    p = []
+    for k in range(1, h + 2):
+        if k == 1:
+            t = powers[0].diagonal(axis1=1, axis2=2).sum(axis=1)
         else:
-            out[:, k // 2] = q
-        if k < n:
-            m = am + q[:, None, None] * ident
-            am = s @ m
-    if not np.all(am + q[:, None, None] * ident == 0):
-        raise RuntimeError("Cayley-Hamilton residual is nonzero; this is a bug")
-    if np.any(out < 0):
+            t = (powers[(k + 1) // 2 - 1] * powers[k // 2 - 1]).sum(axis=(1, 2))
+        if (t % 2 != 0).any():
+            raise RuntimeError(f"odd trace of M^{k}; this is a bug")
+        p.append(t // 2)
+        acc = sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k + 1))
+        if (acc % k != 0).any():
+            raise RuntimeError(f"non-exact division at Newton step {k}; this is a bug")
+        e.append(acc // k)
+    if (e.pop() != 0).any():
+        raise RuntimeError(f"e_{h + 1} is nonzero (Cayley-Hamilton fails); this is a bug")
+    out = np.stack(e, axis=1)
+    if (out < 0).any():
         raise RuntimeError("negative even coefficient; this is a bug")
     return out
 
 
 def charpoly(g: OrientedGraph) -> SkewCharPoly:
     """Exact even-offset coefficients of det(xI - S(g))."""
-    cs = _fl_coeffs(skew_adjacency(g))
-    for k in range(1, g.n + 1, 2):
-        if cs[k] != 0:
-            raise RuntimeError(f"odd coefficient a_{k} = {cs[k]} is nonzero; this is a bug")
-    even = tuple(cs[k] for k in range(0, g.n + 1, 2))
-    if any(c < 0 for c in even):
-        raise RuntimeError(f"negative even coefficient in {even}; this is a bug")
+    even = tuple(int(c) for c in _even_coeffs_batch(skew_adjacency(g)[None])[0])
     if g.n >= 2 and even[1] != g.m:
         raise RuntimeError(f"a_2 = {even[1]} does not equal the arc count {g.m}; this is a bug")
     return SkewCharPoly(g.n, even)

@@ -1,8 +1,9 @@
 """Exhaustive desk-scale search for minimum-skew-energy oriented graphs.
 
 Pipeline: enumerate connected underlying graphs up to isomorphism,
-stream every orientation of every class, compute exact coefficient
-vectors in bulk, and compare the energy minimizers against the two hub
+census the orientations of every class (one per switching class,
+weighted by the class size), compute exact coefficient vectors in
+bulk, and compare the energy minimizers against the two hub
 constructions.  Floating-point energy is only a pre-filter; every
 decision that matters is settled by exact integer coefficient vectors
 (with a high-precision root fallback for the pathological case of
@@ -18,7 +19,6 @@ construction, hence the default cap at n = 8.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,21 +26,13 @@ from math import comb
 
 import numpy as np
 
-from .charpoly import (
-    QuasiOrder,
-    SkewCharPoly,
-    _fl_even_coeffs_batch,
-    _int64_recursion_safe,
-    charpoly,
-    quasi_compare,
-)
+from .charpoly import QuasiOrder, SkewCharPoly, _even_coeffs_batch, charpoly, quasi_compare
 from .energy import energy_from_even_coeffs, energy_from_even_coeffs_precise
 from .graphs import OrientedGraph, UndirectedGraph, construct_b_plus, construct_o_plus
 from .subgraphs import count_quadrangles
 
 __all__ = [
     "enumerate_connected_underlying",
-    "enumerate_orientations",
     "orientation_coefficient_census",
     "MinimalityCertificate",
     "verify_theorem_1",
@@ -53,7 +45,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_N = 8
-_ORIENTATION_GUARD = 30  # orientation streams are 2^m long
+_ORIENTATION_GUARD = 30  # a census stands for 2^m orientations
 _CENSUS_CHUNK = 4096
 _ENERGY_PREFILTER_MARGIN = 1e-6
 
@@ -159,27 +151,28 @@ def enumerate_connected_underlying(
 
 
 # ---------------------------------------------------------------------------
-# orientation streams
+# orientation census
 # ---------------------------------------------------------------------------
 
-def _arcs_for_code(edges, code: int) -> tuple[tuple[int, int], ...]:
-    return tuple(
-        (u, v) if not (code >> k & 1) else (v, u) for k, (u, v) in enumerate(edges)
-    )
+def _spanning_forest(ug: UndirectedGraph):
+    """(forest edges, other edges) of a spanning forest grown in edge order."""
+    root = list(range(ug.n))
 
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
 
-def enumerate_orientations(ug: UndirectedGraph) -> Iterator[OrientedGraph]:
-    """All 2^m orientations of a graph, bit k of the code flipping edge k.
-
-    No deduplication is attempted; the downstream checks quantify over
-    every orientation.
-    """
-    if ug.m > _ORIENTATION_GUARD:
-        raise ValueError(
-            f"refusing to stream 2^{ug.m} orientations (guard is 2^{_ORIENTATION_GUARD})"
-        )
-    for code in range(1 << ug.m):
-        yield OrientedGraph(ug.n, _arcs_for_code(ug.edges, code))
+    forest, rest = [], []
+    for u, v in ug.edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            rest.append((u, v))
+        else:
+            root[ru] = rv
+            forest.append((u, v))
+    return forest, rest
 
 
 def orientation_coefficient_census(
@@ -187,37 +180,41 @@ def orientation_coefficient_census(
 ) -> Counter:
     """Exact coefficient vector multiset over all 2^m orientations.
 
-    Orientations are processed in chunks through the batched
-    Faddeev-LeVerrier recursion; the result maps coefficient tuples to
-    the number of orientations attaining them.
+    Reversing every arc at a vertex maps S to DSD with D diagonal +-1,
+    a similarity, so the coefficients depend only on the switching
+    class.  Switchings act freely in orbits of 2^|F| orientations for a
+    spanning forest F, and each orbit holds exactly one orientation with
+    the forest edges directed as listed.  So only those are scanned,
+    varying the other m - |F| edges in chunks through the batched
+    kernel, and each count is multiplied by 2^|F|.  The result maps
+    coefficient tuples to the number of orientations attaining them.
     """
     if ug.m > _ORIENTATION_GUARD:
         raise ValueError(
             f"refusing to scan 2^{ug.m} orientations (guard is 2^{_ORIENTATION_GUARD})"
         )
-    n, m = ug.n, ug.m
-    if not _int64_recursion_safe(n):
-        counts: Counter = Counter()
-        for g in enumerate_orientations(ug):
-            counts[charpoly(g).coeffs] += 1
-        return counts
-    shifts = np.arange(m, dtype=np.int64)
-    counts = Counter()
-    total = 1 << m
+    n = ug.n
+    forest, rest = _spanning_forest(ug)
+    fixed = np.zeros((n, n), dtype=np.int64)
+    for u, v in forest:
+        fixed[u, v] = 1
+        fixed[v, u] = -1
+    tails, heads = np.array(rest, dtype=np.intp).reshape(-1, 2).T
+    shifts = np.arange(len(rest), dtype=np.int64)
+    counts: Counter = Counter()
+    total = 1 << len(rest)
     for start in range(0, total, chunk):
         codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
         signs = 1 - 2 * ((codes[:, None] >> shifts) & 1)
-        s = np.zeros((len(codes), n, n), dtype=np.int64)
-        for k, (u, v) in enumerate(ug.edges):
-            s[:, u, v] = signs[:, k]
-            s[:, v, u] = -signs[:, k]
-        block = _fl_even_coeffs_batch(s)
-        if n >= 2 and not np.all(block[:, 1] == m):
+        s = np.repeat(fixed[None], len(codes), axis=0)
+        s[:, tails, heads] = signs
+        s[:, heads, tails] = -signs
+        block = _even_coeffs_batch(s)
+        if n >= 2 and not (block[:, 1] == ug.m).all():
             raise RuntimeError("a_2 disagrees with the arc count; this is a bug")
-        uniq, mult = np.unique(block, axis=0, return_counts=True)
-        for row, c in zip(uniq, mult):
-            counts[tuple(int(x) for x in row)] += int(c)
-    return counts
+        counts.update(map(tuple, block.tolist()))
+    weight = 1 << len(forest)
+    return Counter({vec: count * weight for vec, count in counts.items()})
 
 
 def _census_worker(payload):

@@ -1,9 +1,10 @@
 """Independent reference implementations used only by the tests.
 
 Nothing here shares code with the production paths: determinants go
-through Bareiss elimination and Lagrange interpolation, matchings and
-quadrangles through raw subset scans, and isomorphism through
-networkx's VF2.  Slow and simple on purpose.
+through Bareiss elimination and Lagrange interpolation or the
+Faddeev-LeVerrier recursion, orientation censuses through the full
+2^m stream, matchings and quadrangles through raw subset scans, and
+isomorphism through networkx's VF2.  Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+
+import numpy as np
 
 from skewenergy.graphs import OrientedGraph, UndirectedGraph, build
 
@@ -78,6 +81,38 @@ def charpoly_interpolated(s) -> list[int]:
         assert c.denominator == 1, "interpolation produced a non-integer"
         coeffs.append(int(c))
     return coeffs
+
+
+def faddeev_leverrier(s) -> list[int]:
+    """All coefficients [c_0, ..., c_n] of det(xI - S) by the trace recursion.
+
+    A_1 = S, c_k = -tr(A_k) / k, A_(k+1) = S (A_k + c_k I), over Python
+    integers; asserts every division is exact and that the
+    Cayley-Hamilton residual A_n + c_n I vanishes.
+    """
+    s = np.array(s, dtype=object)
+    n = len(s)
+    coeffs = [1]
+    ident = np.eye(n, dtype=object)
+    am = s
+    residual = ident
+    for k in range(1, n + 1):
+        c, r = divmod(-int(np.trace(am)), k)
+        assert r == 0, f"non-exact division at recursion step {k}"
+        coeffs.append(c)
+        residual = am + c * ident
+        am = s.dot(residual)
+    assert (residual == 0).all(), "Cayley-Hamilton residual is nonzero"
+    return coeffs
+
+
+def enumerate_orientations(ug: UndirectedGraph):
+    """All 2^m orientations of a graph, bit k of the code reversing edge k."""
+    for code in range(1 << ug.m):
+        yield OrientedGraph(
+            ug.n,
+            tuple((v, u) if code >> k & 1 else (u, v) for k, (u, v) in enumerate(ug.edges)),
+        )
 
 
 def brute_matchings(ug: UndirectedGraph, r: int) -> int:

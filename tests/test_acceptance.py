@@ -30,7 +30,6 @@ from skewenergy.energy import (
 )
 from skewenergy.extremal import (
     enumerate_connected_underlying,
-    enumerate_orientations,
     orientation_coefficient_census,
     verify_quadrangle_bound,
     verify_quadrangle_bound_max_degree,
@@ -56,7 +55,12 @@ from skewenergy.subgraphs import (
     quadrangles,
 )
 
-from _oracles import random_connected_oriented, random_oriented, random_tree_edges
+from _oracles import (
+    enumerate_orientations,
+    random_connected_oriented,
+    random_oriented,
+    random_tree_edges,
+)
 
 THEOREM_PAIRS = [(5, 5), (6, 6), (6, 7), (7, 7), (7, 8), (7, 9)]
 

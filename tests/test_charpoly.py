@@ -8,7 +8,8 @@ import pytest
 from skewenergy.charpoly import (
     QuasiOrder,
     SkewCharPoly,
-    _fl_even_coeffs_batch,
+    _even_coeffs_batch,
+    _int64_recursion_safe,
     charpoly,
     charpoly_delete_arc,
     pendant_coefficients,
@@ -28,6 +29,7 @@ from skewenergy.subgraphs import arc_on_even_cycle
 
 from _oracles import (
     charpoly_interpolated,
+    faddeev_leverrier,
     random_connected_oriented,
     random_oriented,
     random_permuted,
@@ -91,8 +93,6 @@ class TestCharpoly:
     def test_larger_than_int64_window_still_exact(self):
         # n above the int64 safety bound exercises the object-dtype path;
         # checked against the interpolation oracle, not just structurally
-        from skewenergy.charpoly import _int64_recursion_safe
-
         assert _int64_recursion_safe(8) and not _int64_recursion_safe(20)
         rng = random.Random(3004)
         g = random_connected_oriented(rng, 18, 40)
@@ -109,9 +109,49 @@ class TestBatchedRecursion:
             n = rng.randint(2, 7)
             graphs = [random_oriented(rng, n) for _ in range(8)]
             mats = np.stack([skew_adjacency(g) for g in graphs])
-            block = _fl_even_coeffs_batch(mats)
+            block = _even_coeffs_batch(mats)
             for g, row in zip(graphs, block):
                 assert tuple(int(x) for x in row) == charpoly(g).coeffs
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_matches_faddeev_leverrier_and_interpolation(self, n):
+        rng = random.Random(3008 + n)
+        mats = np.stack([skew_adjacency(random_oriented(rng, n)) for _ in range(6)])
+        block = _even_coeffs_batch(mats)
+        for s, row in zip(mats, block):
+            full = faddeev_leverrier(s)
+            assert full == charpoly_interpolated(s.tolist())
+            assert all(c == 0 for c in full[1::2])
+            assert row.tolist() == full[::2]
+
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_int64_object_boundary(self, n):
+        # dense tournaments on either side of the int64 cutoff
+        assert _int64_recursion_safe(n) == (n <= 15)
+        rng = random.Random(3009 + n)
+        arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u in range(n) for v in range(u + 1, n)]
+        g = build(n, arcs)
+        full = charpoly_interpolated(skew_adjacency(g).tolist())
+        assert charpoly(g).coeffs == tuple(full[::2])
+
+    @pytest.mark.parametrize(
+        "corrupt,match",
+        [
+            ([[1, 0], [0, 0]], "odd trace"),
+            ([[1, 0], [1, 1]], "e_2 is nonzero"),
+            ([[1, -1], [0, -1]], "negative"),
+            (
+                [[-1, 0, 1, -1, 0], [1, -1, 1, -1, 0], [0, 1, -1, 0, -1],
+                 [1, -1, 0, 0, -1], [0, 1, 1, -1, -1]],
+                "non-exact division",
+            ),
+        ],
+    )
+    def test_non_skew_member_trips_a_check(self, corrupt, match):
+        bad = np.array(corrupt, dtype=np.int64)
+        good = skew_adjacency(oriented_path(len(bad)))
+        with pytest.raises(RuntimeError, match=match):
+            _even_coeffs_batch(np.stack([good, bad]))
 
 
 class TestDeleteArcIdentity:

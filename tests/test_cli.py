@@ -18,13 +18,21 @@ GOLDEN_CASES = [
     (["compare", "o-plus:6:7", "b-plus:6:7"], "compare_oplus_bplus_6_7.txt"),
     (["construct", "--name", "b-plus", "--n", "5", "--m", "5"], "construct_bplus_5_5.txt"),
     (["verify", "--n", "5", "--m", "5"], "verify_5_5.txt"),
+    (["verify", "--n", "5", "--m", "5", "--jobs", "2"], "verify_5_5.txt"),
     (["verify", "--n", "6", "--m", "7", "--emit", "tsv"], "verify_6_7_tsv.txt"),
     (["verify-oracle", "--construct", "o-plus", "--n", "6", "--m", "7"], "verify_oracle_oplus_6_7.txt"),
     (["crossover", "--n", "7"], "crossover_7.txt"),
 ]
 
 
-@pytest.mark.parametrize("argv,golden", GOLDEN_CASES, ids=[g for _, g in GOLDEN_CASES])
+def _case_id(argv, golden):
+    """The golden's name, plus the worker count when a case runs in parallel."""
+    if "--jobs" in argv:
+        return f"{golden}-jobs{argv[argv.index('--jobs') + 1]}"
+    return golden
+
+
+@pytest.mark.parametrize("argv,golden", GOLDEN_CASES, ids=[_case_id(*c) for c in GOLDEN_CASES])
 def test_golden_output(argv, golden, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out

@@ -4,15 +4,21 @@ import random
 from collections import Counter
 from math import comb, factorial
 
+import numpy as np
 import pytest
 
-from skewenergy.charpoly import QuasiOrder, SkewCharPoly, charpoly, quasi_compare
+from skewenergy.charpoly import (
+    QuasiOrder,
+    SkewCharPoly,
+    _even_coeffs_batch,
+    charpoly,
+    quasi_compare,
+)
 from skewenergy.extremal import (
     _canonical,
     _tree_classes,
     crossover_table,
     enumerate_connected_underlying,
-    enumerate_orientations,
     orientation_coefficient_census,
     predicted_family,
     verify_quadrangle_bound,
@@ -24,11 +30,13 @@ from skewenergy.graphs import (
     build,
     construct_b_plus,
     construct_o_plus,
+    skew_adjacency,
     underlying,
 )
 from skewenergy.subgraphs import CycleParity, cycle_parity
 
 from _oracles import (
+    enumerate_orientations,
     labelled_connected_count,
     nx_automorphism_count,
     nx_connected_class_count,
@@ -130,7 +138,43 @@ class TestOrientations:
     def test_guard(self):
         edges = tuple((0, v) for v in range(1, 32))
         with pytest.raises(ValueError, match="refusing"):
-            list(enumerate_orientations(UndirectedGraph(32, edges)))
+            orientation_coefficient_census(UndirectedGraph(32, edges))
+
+
+def _full_census(ug):
+    mats = np.stack([skew_adjacency(g) for g in enumerate_orientations(ug)])
+    return Counter(map(tuple, _even_coeffs_batch(mats).tolist()))
+
+
+class TestSwitchingMultiplier:
+    """The census scans one orientation per switching class and weights it
+    by 2^(n - c), c the number of components; each case is checked against
+    the full 2^m stream."""
+
+    def test_forest_has_no_free_edges(self):
+        ug = UndirectedGraph(7, ((0, 1), (0, 2), (2, 3), (4, 5)))
+        census = orientation_coefficient_census(ug)
+        assert census == _full_census(ug)
+        assert list(census.values()) == [2**4]
+
+    def test_disconnected_with_isolated_vertex(self):
+        # isolated vertex 0, a triangle and a 4-cycle with a chord: c = 3
+        edges = ((1, 2), (1, 3), (2, 3), (4, 5), (4, 7), (5, 6), (5, 7), (6, 7))
+        ug = UndirectedGraph(8, edges)
+        census = orientation_coefficient_census(ug)
+        assert census == _full_census(ug)
+        assert all(count % 2 ** (8 - 3) == 0 for count in census.values())
+        assert sum(census.values()) == 2**8
+
+    def test_object_dtype_scan_in_small_chunks(self):
+        # n = 16 is past the int64 bound; 2^3 forest-fixed orientations in chunks of 3
+        edges = ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 3), (9, 15))
+        ug = UndirectedGraph(16, edges)
+        assert orientation_coefficient_census(ug, chunk=3) == _full_census(ug)
+
+    def test_every_class_of_7_9(self):
+        for ug in enumerate_connected_underlying(7, 9):
+            assert orientation_coefficient_census(ug) == _full_census(ug), ug.edges
 
 
 class TestPredictedFamily:
