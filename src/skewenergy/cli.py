@@ -80,12 +80,19 @@ def _add_source_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--m", type=int, help="arc count for --construct (o-plus, b-plus)")
 
 
+def _read_text(path: str) -> str:
+    """The text of a file, or of stdin for '-'."""
+    if path == "-":
+        return sys.stdin.read()
+    with open(path) as fh:
+        return fh.read()
+
+
 def _load_source(args: argparse.Namespace) -> tuple[str, OrientedGraph]:
     if (args.file is None) == (args.construct is None):
         raise ValueError("exactly one of --file and --construct is required")
     if args.file is not None:
-        text = sys.stdin.read() if args.file == "-" else open(args.file).read()
-        return args.file, parse_graph(text)
+        return args.file, parse_graph(_read_text(args.file))
     label = args.construct
     if args.n is not None:
         label += f"(n={args.n}" + (f",m={args.m})" if args.m is not None else ")")
@@ -104,8 +111,7 @@ def _resolve_spec(spec: str) -> tuple[str, OrientedGraph]:
         n = nums[0] if nums else None
         m = nums[1] if len(nums) > 1 else None
         return spec, _construct(head, n, m)
-    text = sys.stdin.read() if spec == "-" else open(spec).read()
-    return spec, parse_graph(text)
+    return spec, parse_graph(_read_text(spec))
 
 
 _SIG_DIGITS = 12
@@ -184,7 +190,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cert = verify_theorem_1(args.n, args.m, jobs=args.jobs)
+    cert = verify_theorem_1(args.n, args.m)
     if args.emit == "tsv":
         d = cert.to_dict()
         d["min_coeffs"] = " ".join(str(c) for c in cert.min_coeffs)
@@ -273,7 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustive minimum-energy scan at (n, m)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1, help="class-level worker processes")
     p.add_argument("--emit", choices=("json", "tsv"), default="json")
     p.set_defaults(func=_cmd_verify)
 

@@ -15,9 +15,9 @@ Quadrature: the even integrand is folded to [0, inf), substituted with
 x = tan(theta), and integrated over [0, pi/2) by adaptive
 Gauss-Legendre bisection using a 15-vs-7 point rule difference as the
 local error estimate.  The nodes and weights are literal, correctly
-rounded constants.  Interval contributions are accumulated with a
-pairwise summation tree in left-endpoint order, so results are
-run-to-run identical.
+rounded constants.  Interval contributions are summed with math.fsum,
+which is correctly rounded and so independent of their order; results
+are run-to-run identical.
 
 Across machines the floats are not bit-stable: numpy's vectorized tan,
 log and log1p may differ from the correctly rounded value by an ulp, and
@@ -216,18 +216,6 @@ def _interval_rules(f, a: float, b: float) -> tuple[float, float, int]:
     return v15, abs(v15 - v7), len(x15) + len(x7)
 
 
-def _pairwise_sum(values: list[float]) -> float:
-    if not values:
-        return 0.0
-    work = list(values)
-    while len(work) > 1:
-        nxt = [work[i] + work[i + 1] for i in range(0, len(work) - 1, 2)]
-        if len(work) % 2:
-            nxt.append(work[-1])
-        work = nxt
-    return work[0]
-
-
 def skew_energy_integral(
     p: SkewCharPoly, tol: float = 1e-9, node_cap: int = 2**20
 ) -> IntegralEnergy:
@@ -249,7 +237,7 @@ def skew_energy_integral(
     cuts = [0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2]
     nodes = 0
     heap: list[tuple[float, float, float, float]] = []  # (-err, a, b, val)
-    done: list[tuple[float, float, float]] = []  # (a, val, err)
+    done: list[tuple[float, float]] = []  # (val, err)
     total_err = 0.0
     for a, b in zip(cuts, cuts[1:]):
         val, err, used = _interval_rules(f, a, b)
@@ -261,7 +249,7 @@ def skew_energy_integral(
         neg_err, a, b, val = heappop(heap)
         err = -neg_err
         if b - a < _MIN_WIDTH:
-            done.append((a, val, err))
+            done.append((val, err))
             continue
         total_err -= err
         mid = 0.5 * (a + b)
@@ -271,10 +259,9 @@ def skew_energy_integral(
             total_err += e
             heappush(heap, (-e, lo, hi, v))
 
-    segments = [(a, val, -neg_err) for neg_err, a, b, val in heap] + done
-    segments.sort(key=lambda seg: seg[0])
-    value = scale * _pairwise_sum([seg[1] for seg in segments])
-    est_error = scale * math.fsum(seg[2] for seg in segments)
+    segments = [(val, -neg_err) for neg_err, _, _, val in heap] + done
+    value = scale * math.fsum(val for val, _ in segments)
+    est_error = scale * math.fsum(err for _, err in segments)
     return IntegralEnergy(
         value=value,
         nodes=nodes,

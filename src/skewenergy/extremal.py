@@ -1,13 +1,13 @@
 """Exhaustive desk-scale search for minimum-skew-energy oriented graphs.
 
-Pipeline: enumerate connected underlying graphs up to isomorphism,
-census the orientations of every class (one per switching class,
-weighted by the class size), compute exact coefficient vectors in
-bulk, and compare the energy minimizers against the two hub
-constructions.  Floating-point energy is only a pre-filter; every
-decision that matters is settled by exact integer coefficient vectors
-(with a high-precision root fallback for the pathological case of
-incomparable vectors inside the float margin).
+Pipeline, one serial pass class by class: enumerate connected
+underlying graphs up to isomorphism, census the orientations of every
+class (one per switching class, weighted by the class size), compute
+exact coefficient vectors in bulk, and compare the energy minimizers
+against the two hub constructions.  Floating-point energy is only a
+pre-filter; every decision that matters is settled by exact integer
+coefficient vectors (with a high-precision root fallback for the
+pathological case of incomparable vectors inside the float margin).
 
 Canonical labeling: the minimum adjacency bit-string over all vertex
 orders that list degrees in non-increasing sequence.  That restriction
@@ -19,7 +19,6 @@ construction, hence the default cap at n = 8.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -217,11 +216,6 @@ def orientation_coefficient_census(
     return Counter({vec: count * weight for vec, count in counts.items()})
 
 
-def _census_worker(payload):
-    n, edges = payload
-    return list(orientation_coefficient_census(UndirectedGraph(n, edges)).items())
-
-
 # ---------------------------------------------------------------------------
 # the minimality scan
 # ---------------------------------------------------------------------------
@@ -276,9 +270,7 @@ class MinimalityCertificate:
         }
 
 
-def verify_theorem_1(
-    n: int, m: int, jobs: int = 1, max_n: int = DEFAULT_MAX_N
-) -> MinimalityCertificate:
+def verify_theorem_1(n: int, m: int, max_n: int = DEFAULT_MAX_N) -> MinimalityCertificate:
     """Scan every orientation of every connected (n, m) class for the minimum.
 
     The minimum is located by float energy with a 1e-6 margin and then
@@ -286,6 +278,10 @@ def verify_theorem_1(
     dominated componentwise by the predicted vector (which implies a
     strictly larger energy).  Incomparable in-margin competitors, which
     the expected outcome never produces, are settled by 60-digit roots.
+
+    The scan is serial.  A class's census is only 2^(m-n+1) <= 2^(n-4)
+    matrices, so shipping the class to a worker process costs more than
+    scanning it.
     """
     _check_window(n, m)
     classes = enumerate_connected_underlying(n, m, max_n=max_n)
@@ -304,15 +300,8 @@ def verify_theorem_1(
         target = o_vec
 
     census: Counter = Counter()
-    if jobs > 1:
-        payloads = [(ug.n, ug.edges) for ug in classes]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for items in pool.map(_census_worker, payloads):
-                for vec, count in items:
-                    census[vec] += count
-    else:
-        for ug in classes:
-            census.update(orientation_coefficient_census(ug))
+    for ug in classes:
+        census.update(orientation_coefficient_census(ug))
 
     orientations = sum(census.values())
     if orientations != len(classes) * (1 << m):
@@ -396,34 +385,34 @@ class BoundReport:
         }
 
 
-def verify_quadrangle_bound(n: int, m: int, max_n: int = DEFAULT_MAX_N) -> BoundReport:
-    """q(G) <= C(m-n+2, 2) over every connected class in the window."""
+def _quadrangle_bound(n: int, m: int, max_n: int, dominating_only: bool) -> BoundReport:
+    """The bound over every class, or only those with a dominating vertex.
+
+    A dominating vertex lowers the bound from C(m-n+2, 2) to C(m-n+1, 2).
+    """
     _check_window(n, m)
-    bound = comb(m - n + 2, 2)
+    bound = comb(m - n + (1 if dominating_only else 2), 2)
     violations = []
     checked = 0
     for ug in enumerate_connected_underlying(n, m, max_n=max_n):
+        if dominating_only and ug.max_degree() != n - 1:
+            continue
         checked += 1
         if count_quadrangles(ug) > bound:
             violations.append(ug.edges)
     return BoundReport(n, m, bound, checked, tuple(violations))
+
+
+def verify_quadrangle_bound(n: int, m: int, max_n: int = DEFAULT_MAX_N) -> BoundReport:
+    """q(G) <= C(m-n+2, 2) over every connected class in the window."""
+    return _quadrangle_bound(n, m, max_n, dominating_only=False)
 
 
 def verify_quadrangle_bound_max_degree(
     n: int, m: int, max_n: int = DEFAULT_MAX_N
 ) -> BoundReport:
     """q(G) <= C(m-n+1, 2) over the classes with a dominating vertex."""
-    _check_window(n, m)
-    bound = comb(m - n + 1, 2)
-    violations = []
-    checked = 0
-    for ug in enumerate_connected_underlying(n, m, max_n=max_n):
-        if ug.max_degree() != n - 1:
-            continue
-        checked += 1
-        if count_quadrangles(ug) > bound:
-            violations.append(ug.edges)
-    return BoundReport(n, m, bound, checked, tuple(violations))
+    return _quadrangle_bound(n, m, max_n, dominating_only=True)
 
 
 @dataclass(frozen=True)

@@ -167,7 +167,7 @@ class UndirectedGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         pair = (u, v) if u < v else (v, u)
-        return pair in set(self.edges)
+        return pair in self.edges
 
     def is_connected(self) -> bool:
         if self.n == 1:

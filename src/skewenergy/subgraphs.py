@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from typing import Iterator, Sequence, Union
 
 from .graphs import OrientedGraph, UndirectedGraph, underlying
@@ -99,25 +100,19 @@ def count_matchings(ug: UndirectedGraph, r: int) -> int:
 def quadrangles(ug: UndirectedGraph) -> list[tuple[int, int, int, int]]:
     """All 4-cycles, as vertex sequences in cyclic order, each once.
 
-    A 4-vertex set can carry up to three distinct quadrangles (one per
-    pairing of opposite vertices); each existing one is listed.  Chords
-    in the ambient graph are irrelevant.
+    Written from its smallest vertex a, a 4-cycle (a, b, c, d) has c
+    opposite a and b < d, the two of their common neighbours it uses.
+    So each pair b < d of common neighbours above a of a pair a < c
+    gives one cycle, and no cycle comes twice.  Chords in the ambient
+    graph are irrelevant.
     """
     adj = ug.adjacency_masks()
-
-    def linked(x: int, y: int) -> bool:
-        return bool(adj[x] >> y & 1)
-
     found = []
-    n = ug.n
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                for d in range(c + 1, n):
-                    for seq in ((a, b, c, d), (a, b, d, c), (a, c, b, d)):
-                        p, q, r, s = seq
-                        if linked(p, q) and linked(q, r) and linked(r, s) and linked(s, p):
-                            found.append(seq)
+    for a in range(ug.n):
+        above = -1 << (a + 1)
+        for c in range(a + 1, ug.n):
+            common = _iter_bits(adj[a] & adj[c] & above)
+            found.extend((a, b, c, d) for b, d in combinations(common, 2))
     return found
 
 
@@ -139,12 +134,10 @@ def cycle_parity(g: OrientedGraph, cycle: Sequence[int]) -> CycleParity:
         raise ValueError(f"{cycle!r} is not a simple cycle")
     if k % 2:
         raise ValueError(f"orientation parity is undefined for odd cycle length {k}")
-    ug = underlying(g)
-    for i in range(k):
-        if not ug.has_edge(seq[i], seq[(i + 1) % k]):
-            raise ValueError(
-                f"{cycle!r} is not a cycle: {seq[i]} and {seq[(i + 1) % k]} are not adjacent"
-            )
+    adj = underlying(g).adjacency_masks()
+    for u, v in zip(seq, seq[1:] + seq[:1]):
+        if not (0 <= u < g.n and 0 <= v < g.n and adj[u] >> v & 1):
+            raise ValueError(f"{cycle!r} is not a cycle: {u} and {v} are not adjacent")
     along = _arcs_along(g, seq)
     return CycleParity.ODDLY_ORIENTED if along % 2 else CycleParity.EVENLY_ORIENTED
 

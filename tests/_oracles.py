@@ -131,31 +131,21 @@ def brute_matchings(ug: UndirectedGraph, r: int) -> int:
     return count
 
 
-def brute_quadrangles(ug: UndirectedGraph) -> int:
-    """Count 4-cycles as 4-edge subsets forming a single cycle."""
-    count = 0
+def brute_quadrangle_edge_sets(ug: UndirectedGraph) -> list[frozenset]:
+    """Every 4-cycle once, as the 4-edge subset it consists of.
+
+    A 4-edge subset is a 4-cycle exactly when it covers 4 vertices, each
+    twice: the only 2-regular simple graph on 4 vertices is C4.
+    """
+    found = []
     for combo in itertools.combinations(ug.edges, 4):
         deg: dict[int, int] = {}
         for u, v in combo:
             deg[u] = deg.get(u, 0) + 1
             deg[v] = deg.get(v, 0) + 1
         if len(deg) == 4 and all(d == 2 for d in deg.values()):
-            # connected 2-regular on 4 vertices is exactly a 4-cycle
-            verts = list(deg)
-            adj = {v: set() for v in verts}
-            for u, v in combo:
-                adj[u].add(v)
-                adj[v].add(u)
-            seen = {verts[0]}
-            stack = [verts[0]]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            count += len(seen) == 4
-    return count
+            found.append(frozenset(combo))
+    return found
 
 
 def gauss_legendre_polished(n: int, dps: int = 50):

@@ -21,21 +21,13 @@ GOLDEN_CASES = [
     (["compare", "o-plus:6:7", "b-plus:6:7"], "compare_oplus_bplus_6_7.txt"),
     (["construct", "--name", "b-plus", "--n", "5", "--m", "5"], "construct_bplus_5_5.txt"),
     (["verify", "--n", "5", "--m", "5"], "verify_5_5.txt"),
-    (["verify", "--n", "5", "--m", "5", "--jobs", "2"], "verify_5_5.txt"),
     (["verify", "--n", "6", "--m", "7", "--emit", "tsv"], "verify_6_7_tsv.txt"),
     (["verify-oracle", "--construct", "o-plus", "--n", "6", "--m", "7"], "verify_oracle_oplus_6_7.txt"),
     (["crossover", "--n", "7"], "crossover_7.txt"),
 ]
 
 
-def _case_id(argv, golden):
-    """The golden's name, plus the worker count when a case runs in parallel."""
-    if "--jobs" in argv:
-        return f"{golden}-jobs{argv[argv.index('--jobs') + 1]}"
-    return golden
-
-
-@pytest.mark.parametrize("argv,golden", GOLDEN_CASES, ids=[_case_id(*c) for c in GOLDEN_CASES])
+@pytest.mark.parametrize("argv,golden", GOLDEN_CASES, ids=[g for _, g in GOLDEN_CASES])
 def test_golden_output(argv, golden, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
@@ -92,6 +84,11 @@ class TestExitCodes:
             main(["charpoly", "--bogus"])
         assert exc.value.code == 2
 
+    def test_verify_rejects_jobs(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "6", "--m", "6", "--jobs", "2"])
+        assert exc.value.code == 2
+
     def test_source_must_be_unique(self, tmp_path, capsys):
         p = tmp_path / "g.graph"
         p.write_text("2 1\n0 1\n")
@@ -116,7 +113,7 @@ class TestRoundTrips:
         assert out.startswith("verdict\tEquivalent")
 
     def test_verify_json_is_valid(self, capsys):
-        assert main(["verify", "--n", "6", "--m", "6", "--jobs", "2"]) == 0
+        assert main(["verify", "--n", "6", "--m", "6"]) == 0
         cert = json.loads(capsys.readouterr().out)
         assert cert["verdict"] == "pass"
         assert cert["predicted"] == "O_plus"

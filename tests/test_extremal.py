@@ -214,9 +214,6 @@ class TestVerify:
         assert d["min_coeffs"] == [1, 5, 2]
         assert d["verdict"] == "pass"
 
-    def test_jobs_agree(self):
-        assert verify_theorem_1(6, 6, jobs=2) == verify_theorem_1(6, 6)
-
     def test_minimizers_share_the_minimum_vector(self):
         cert = verify_theorem_1(6, 7)
         target = SkewCharPoly(6, cert.min_coeffs)

@@ -1,6 +1,7 @@
 """Matchings, quadrangles, cycle parity, and the coefficient expansion."""
 
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -28,7 +29,7 @@ from skewenergy.subgraphs import (
     quadrangles,
 )
 
-from _oracles import brute_matchings, brute_quadrangles, random_oriented
+from _oracles import brute_matchings, brute_quadrangle_edge_sets, random_oriented
 
 
 def fig_f_graph():
@@ -96,8 +97,20 @@ class TestQuadrangles:
     def test_vs_brute_force(self):
         rng = random.Random(2004)
         for _ in range(30):
-            ug = underlying(random_oriented(rng, rng.randint(4, 8)))
-            assert count_quadrangles(ug) == brute_quadrangles(ug)
+            ug = underlying(random_oriented(rng, rng.randint(4, 12)))
+            assert count_quadrangles(ug) == len(brute_quadrangle_edge_sets(ug))
+
+    def test_each_cycle_listed_once(self):
+        # the brute-force subsets are distinct, so equal multisets mean
+        # every 4-cycle is listed, and listed exactly once
+        rng = random.Random(2010)
+        for _ in range(30):
+            ug = underlying(random_oriented(rng, rng.randint(4, 12)))
+            listed = Counter(
+                frozenset(tuple(sorted((seq[i], seq[i - 1]))) for i in range(4))
+                for seq in quadrangles(ug)
+            )
+            assert listed == Counter(brute_quadrangle_edge_sets(ug))
 
 
 class TestCycleParity:
