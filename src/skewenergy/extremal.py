@@ -12,8 +12,20 @@ pathological case of incomparable vectors inside the float margin).
 Canonical labeling: the minimum adjacency bit-string over all vertex
 orders that list degrees in non-increasing sequence.  That restriction
 is label-independent, so the minimum is a complete isomorphism
-invariant, and it prunes the search to degree classes.  Exhaustive by
-construction, hence the default cap at n = 8.
+invariant, and it prunes the search to degree classes.  The final
+frontier of that search has one order per automorphism, so it also
+yields |Aut(G)|.
+
+Class enumeration grows each (n, m) class from the (n, m-1) classes by
+one edge, and canonicalizes a child only when its new edge has the
+largest invariant (max degree, min degree, common neighbours) among the
+child's cycle edges: the canonical-deletion filter of McKay's canonical
+augmentation ("Isomorph-free exhaustive generation", J. Algorithms 26,
+1998), which loses no class because deleting such an edge from any
+class leaves a connected (n, m-1) class.  Completeness is checked at run
+time: over the classes, sum n!/|Aut| must equal the labelled connected
+count, or enumeration raises RuntimeError.  Exhaustive by construction,
+hence the default cap at n = 8.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 
@@ -54,12 +66,13 @@ _ENERGY_PREFILTER_MARGIN = 1e-6
 # ---------------------------------------------------------------------------
 
 def _canonical(n: int, edges: tuple[tuple[int, int], ...]):
-    """(key, relabeled edges) under the degree-sorted minimum bit-string order.
+    """(key, relabeled edges, |Aut|) under the degree-sorted minimum bit-string order.
 
     Works breadth-first over partial vertex orders: at each depth keep
     every placement that attains the minimal next adjacency row, so all
     survivors share one row prefix and any completed order realizes the
-    canonical key.
+    canonical key.  The final frontier holds every order that does, one
+    per automorphism, so its size is |Aut(G)|.
     """
     adj = [0] * n
     for u, v in edges:
@@ -93,7 +106,68 @@ def _canonical(n: int, edges: tuple[tuple[int, int], ...]):
     relabeled = tuple(
         sorted(tuple(sorted((position[u], position[v]))) for u, v in edges)
     )
-    return tuple(rows), relabeled
+    return tuple(rows), relabeled, len(frontier)
+
+
+@lru_cache(maxsize=None)
+def labelled_graph_count(n: int, m: int) -> int:
+    """Labelled simple graphs with n vertices and m edges."""
+    if n < 0 or m < 0:
+        return 0
+    return comb(comb(n, 2), m)
+
+
+@lru_cache(maxsize=None)
+def labelled_connected_count(n: int, m: int) -> int:
+    """Labelled connected graphs with n vertices, m edges, by the
+    component-of-vertex-1 recurrence."""
+    if n == 0:
+        return 1 if m == 0 else 0
+    total = labelled_graph_count(n, m)
+    for k in range(1, n):
+        ways = comb(n - 1, k - 1)
+        for j in range(m + 1):
+            total -= ways * labelled_connected_count(k, j) * labelled_graph_count(n - k, m - j)
+    return total
+
+
+def _check_complete(n: int, m: int, automorphisms) -> None:
+    """Raise unless the classes count each labelled connected graph once.
+
+    A class with automorphism group Aut has n!/|Aut| labellings, so a
+    complete, duplicate-free list of the connected (n, m) classes has
+    sum n!/|Aut| equal to the labelled connected count.
+    """
+    labelled = sum(factorial(n) // aut for aut in automorphisms)
+    want = labelled_connected_count(n, m)
+    if labelled != want:
+        raise RuntimeError(
+            f"class enumeration at (n, m) = ({n}, {m}) covers {labelled} labelled "
+            f"graphs, not {want}; this is a bug"
+        )
+
+
+def _on_cycle(adj: list[int], x: int, y: int) -> bool:
+    """Whether the edge xy lies on a cycle: y is reachable from x without it."""
+    seen = 1 << x
+    frontier = adj[x] & ~(1 << y)
+    while frontier:
+        if frontier >> y & 1:
+            return True
+        seen |= frontier
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+    return False
+
+
+def _edge_invariant(adj: list[int], x: int, y: int) -> tuple[int, int, int]:
+    """(max degree, min degree, common neighbours) of the edge xy."""
+    dx, dy = adj[x].bit_count(), adj[y].bit_count()
+    return max(dx, dy), min(dx, dy), (adj[x] & adj[y]).bit_count()
 
 
 @lru_cache(maxsize=None)
@@ -104,18 +178,29 @@ def _tree_classes(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     found: dict[tuple, tuple] = {}
     for edges in _tree_classes(n - 1):
         for v in range(n - 1):
-            key, canon = _canonical(n, edges + ((v, n - 1),))
-            found.setdefault(key, canon)
-    return tuple(found[k] for k in sorted(found))
+            key, canon, aut = _canonical(n, edges + ((v, n - 1),))
+            found.setdefault(key, (canon, aut))
+    _check_complete(n, n - 1, (aut for _, aut in found.values()))
+    return tuple(found[k][0] for k in sorted(found))
 
 
 @lru_cache(maxsize=None)
 def _connected_classes(n: int, m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Connected classes with m edges, grown edge-by-edge from the trees.
 
-    Every connected graph with m >= n edges contains a connected
-    spanning subgraph with one edge fewer (delete any non-bridge), so
-    augmenting each (n, m-1) class by one edge reaches every class.
+    Every connected graph C with m >= n edges has a cycle, and among its
+    cycle edges one, e*, of largest invariant (max degree, min degree,
+    common neighbours).  C - e* is connected, so it is one of the
+    (n, m-1) classes; that class's representative plus the image of e*
+    is isomorphic to C, and the new edge has the largest invariant among
+    the child's cycle edges, since the invariant ignores labels.  So a
+    child P + uv is canonicalized only when no cycle edge of it beats
+    uv's invariant: the cheap first step of McKay's canonical
+    augmentation ("Isomorph-free exhaustive generation", J. Algorithms
+    26, 1998), which drops most children before their canonical form is
+    built.  Classes are keyed by canonical form, so the output does not
+    depend on which child reached a class first.  Before returning, the
+    classes must satisfy sum n!/|Aut| = labelled connected count.
     """
     if m < n - 1 or m > comb(n, 2):
         return ()
@@ -123,14 +208,27 @@ def _connected_classes(n: int, m: int) -> tuple[tuple[tuple[int, int], ...], ...
         return _tree_classes(n)
     found: dict[tuple, tuple] = {}
     for edges in _connected_classes(n, m - 1):
-        present = set(edges)
+        adj = [0] * n
+        for a, b in edges:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
         for u in range(n):
             for v in range(u + 1, n):
-                if (u, v) in present:
+                if adj[u] >> v & 1:
                     continue
-                key, canon = _canonical(n, edges + ((u, v),))
-                found.setdefault(key, canon)
-    return tuple(found[k] for k in sorted(found))
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+                mine = _edge_invariant(adj, u, v)
+                if not any(
+                    _edge_invariant(adj, x, y) > mine and _on_cycle(adj, x, y)
+                    for x, y in edges
+                ):
+                    key, canon, aut = _canonical(n, edges + ((u, v),))
+                    found.setdefault(key, (canon, aut))
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+    _check_complete(n, m, (aut for _, aut in found.values()))
+    return tuple(found[k][0] for k in sorted(found))
 
 
 def enumerate_connected_underlying(

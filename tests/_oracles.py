@@ -5,7 +5,9 @@ through Bareiss elimination and Lagrange interpolation or the
 Faddeev-LeVerrier recursion, orientation censuses through the full
 2^m stream, matchings and quadrangles through raw subset scans,
 isomorphism through networkx's VF2, and the Gauss-Legendre rule through
-Newton's method on P_n in mpmath.  Slow and simple on purpose.
+Newton's method on P_n in mpmath.  The one exception is the unfiltered
+class augmentation, which shares the canonical form with the enumerator
+it checks.  Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from math import comb
 
 import numpy as np
 
+from skewenergy.extremal import _canonical, _tree_classes
 from skewenergy.graphs import OrientedGraph, UndirectedGraph, build
 
 
@@ -259,21 +262,25 @@ def nx_automorphism_count(ug: UndirectedGraph) -> int:
 
 
 @lru_cache(maxsize=None)
-def labelled_graph_count(n: int, m: int) -> int:
-    if n < 0 or m < 0:
-        return 0
-    return comb(comb(n, 2), m)
+def augment_every_non_edge(n: int, m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Connected (n, m) classes from every one-edge augmentation, unfiltered.
 
-
-@lru_cache(maxsize=None)
-def labelled_connected_count(n: int, m: int) -> int:
-    """Labelled connected graphs with n vertices, m edges, by the
-    component-of-vertex-1 recurrence."""
-    if n == 0:
-        return 1 if m == 0 else 0
-    total = labelled_graph_count(n, m)
-    for k in range(1, n):
-        ways = comb(n - 1, k - 1)
-        for j in range(m + 1):
-            total -= ways * labelled_connected_count(k, j) * labelled_graph_count(n - k, m - j)
-    return total
+    The reference for the canonical-deletion filter in
+    ``extremal._connected_classes``: the same canonical form and the same
+    order of the result, but every non-edge of every (n, m-1) class is
+    added and canonicalized.
+    """
+    if m < n - 1 or m > comb(n, 2):
+        return ()
+    if m == n - 1:
+        return _tree_classes(n)
+    found: dict[tuple, tuple] = {}
+    for edges in augment_every_non_edge(n, m - 1):
+        present = set(edges)
+        for u in range(n):
+            for v in range(u + 1, n):
+                if (u, v) in present:
+                    continue
+                key, canon, _ = _canonical(n, edges + ((u, v),))
+                found.setdefault(key, canon)
+    return tuple(found[k] for k in sorted(found))

@@ -14,11 +14,17 @@ from skewenergy.charpoly import (
     charpoly,
     quasi_compare,
 )
+from skewenergy import extremal
+from skewenergy.cli import main
 from skewenergy.extremal import (
     _canonical,
+    _check_complete,
+    _connected_classes,
+    _on_cycle,
     _tree_classes,
     crossover_table,
     enumerate_connected_underlying,
+    labelled_connected_count,
     orientation_coefficient_census,
     predicted_family,
     verify_quadrangle_bound,
@@ -36,10 +42,11 @@ from skewenergy.graphs import (
 from skewenergy.subgraphs import CycleParity, cycle_parity
 
 from _oracles import (
+    augment_every_non_edge,
     enumerate_orientations,
-    labelled_connected_count,
     nx_automorphism_count,
     nx_connected_class_count,
+    nx_graph,
 )
 
 THEOREM_PAIRS = [(5, 5), (6, 6), (6, 7), (7, 7), (7, 8), (7, 9)]
@@ -52,19 +59,25 @@ class TestCanonical:
             n = rng.randint(2, 7)
             pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
             edges = tuple(rng.sample(pool, rng.randint(1, len(pool))))
-            key, canon = _canonical(n, edges)
+            key, canon, aut = _canonical(n, edges)
             perm = list(range(n))
             rng.shuffle(perm)
             shuffled = tuple(
                 tuple(sorted((perm[u], perm[v]))) for u, v in edges
             )
-            key2, canon2 = _canonical(n, shuffled)
-            assert key == key2 and canon == canon2
+            key2, canon2, aut2 = _canonical(n, shuffled)
+            assert key == key2 and canon == canon2 and aut == aut2
 
     def test_canonical_labels_are_fixed_points(self):
         for ug in enumerate_connected_underlying(6, 7):
-            _, again = _canonical(ug.n, ug.edges)
+            _, again, _ = _canonical(ug.n, ug.edges)
             assert again == ug.edges
+
+    def test_frontier_size_is_automorphism_count(self):
+        for n in range(2, 7):
+            for m in range(n - 1, comb(n, 2) + 1):
+                for ug in enumerate_connected_underlying(n, m):
+                    assert _canonical(n, ug.edges)[2] == nx_automorphism_count(ug), ug.edges
 
 
 class TestClassEnumeration:
@@ -89,6 +102,69 @@ class TestClassEnumeration:
         for ug in enumerate_connected_underlying(n, m):
             total += factorial(n) // nx_automorphism_count(ug)
         assert total == labelled_connected_count(n, m)
+
+    @pytest.mark.parametrize("n,top", [(n, comb(n, 2)) for n in range(1, 8)] + [(8, 11)])
+    def test_filter_matches_unfiltered_augmentation(self, n, top):
+        for m in range(n - 1, top + 1):
+            assert _connected_classes(n, m) == augment_every_non_edge(n, m), (n, m)
+
+    def test_on_cycle_matches_networkx_bridges(self):
+        import networkx as nx
+
+        rng = random.Random(5003)
+        for _ in range(300):
+            n = rng.randint(2, 10)
+            pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            ug = UndirectedGraph(n, tuple(sorted(rng.sample(pool, rng.randint(1, len(pool))))))
+            bridges = {tuple(sorted(e)) for e in nx.bridges(nx_graph(ug))}
+            adj = ug.adjacency_masks()
+            for x, y in ug.edges:
+                assert _on_cycle(adj, x, y) == _on_cycle(adj, y, x) == ((x, y) not in bridges)
+
+    def test_filter_skips_most_canonical_forms(self, monkeypatch):
+        # unfiltered, the (8, 8..11) window takes 15,637 canonical forms
+        calls = 0
+        real = extremal._canonical
+
+        def counted(n, edges):
+            nonlocal calls
+            calls += 1
+            return real(n, edges)
+
+        monkeypatch.setattr(extremal, "_canonical", counted)
+        _connected_classes.cache_clear()
+        _tree_classes.cache_clear()
+        try:
+            for m in range(8, 12):
+                _connected_classes(8, m)
+        finally:
+            _connected_classes.cache_clear()
+            _tree_classes.cache_clear()
+        assert 0 < calls < 4000
+
+    def test_completeness_check_trips_on_a_dropped_or_duplicated_class(self):
+        auts = [_canonical(ug.n, ug.edges)[2] for ug in enumerate_connected_underlying(6, 7)]
+        _check_complete(6, 7, auts)
+        for i in range(len(auts)):
+            with pytest.raises(RuntimeError, match="class enumeration"):
+                _check_complete(6, 7, auts[:i] + auts[i + 1:])
+            with pytest.raises(RuntimeError, match="class enumeration"):
+                _check_complete(6, 7, auts + auts[i:i + 1])
+
+    @pytest.mark.parametrize("bad", [(5, 4), (5, 5)])  # the trees, then the unicyclic classes
+    def test_incomplete_enumeration_exits_5(self, monkeypatch, capsys, bad):
+        real = extremal.labelled_connected_count
+        monkeypatch.setattr(
+            extremal, "labelled_connected_count", lambda n, m: real(n, m) + ((n, m) == bad)
+        )
+        _connected_classes.cache_clear()
+        _tree_classes.cache_clear()
+        try:
+            assert main(["verify", "--n", "5", "--m", "5"]) == 5
+        finally:
+            _connected_classes.cache_clear()
+            _tree_classes.cache_clear()
+        assert "class enumeration" in capsys.readouterr().err
 
     def test_results_are_connected_with_right_size(self):
         for n, m in THEOREM_PAIRS:
