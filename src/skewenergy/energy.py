@@ -302,8 +302,8 @@ def energy_from_even_coeffs(coeffs) -> float:
 
     The vector factors det(xI - S) as x^(n-2K) * zeta(x^2) with zeta
     monic of degree K; the eigenvalue magnitudes are the square roots
-    of the negated zeta roots.  Used as a fast per-vector evaluation in
-    the enumeration harness (the vector fixes the whole spectrum).
+    of the negated zeta roots.  The minimality scan uses it only to name
+    the minimizer of a failed scan (the vector fixes the whole spectrum).
     """
     cs = [int(c) for c in coeffs]
     if len(cs) <= 1:
@@ -313,17 +313,20 @@ def energy_from_even_coeffs(coeffs) -> float:
 
 
 def energy_from_even_coeffs_precise(coeffs, dps: int = 60):
-    """mpmath version of energy_from_even_coeffs, for exact tie-breaking."""
+    """The energy integral of an even coefficient vector to dps digits, for tie-breaking.
+
+    (2/pi) * integral over [0, inf) of log1p(y * h(y)) / y, y = x^2, with
+    h the tail polynomial a_2 + a_4 y + ..., by mpmath's tanh-sinh
+    quadrature split at x = 1.  Unlike a root finder it needs no distinct
+    or nonzero roots, so it returns for every vector.
+    """
     import mpmath as mp
 
-    cs = [int(c) for c in coeffs]
-    if len(cs) <= 1:
-        return mp.mpf(0)
+    tail = [int(c) for c in coeffs][:0:-1]  # a_2h, ..., a_2
+
+    def integrand(x):
+        y = x * x
+        return mp.log1p(y * mp.polyval(tail, y)) / y
+
     with mp.workdps(dps):
-        roots = mp.polyroots([mp.mpf(c) for c in cs], maxsteps=200, extraprec=120)
-        total = mp.mpf(0)
-        for r in roots:
-            val = -mp.re(r)
-            if val > 0:
-                total += mp.sqrt(val)
-        return 2 * total
+        return 2 * mp.quad(integrand, [0, 1, mp.inf]) / mp.pi

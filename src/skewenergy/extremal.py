@@ -4,10 +4,10 @@ Pipeline, one serial pass class by class: enumerate connected
 underlying graphs up to isomorphism, census the orientations of every
 class (one per switching class, weighted by the class size), compute
 exact coefficient vectors in bulk, and compare the energy minimizers
-against the two hub constructions.  Floating-point energy is only a
-pre-filter; every decision that matters is settled by exact integer
-coefficient vectors (with a high-precision root fallback for the
-pathological case of incomparable vectors inside the float margin).
+against the two hub constructions.  Energy increases in every
+coefficient, so the quasi-order on exact coefficient vectors decides the
+verdict, with the 60-digit energy integral for incomparable vectors;
+floats only name the minimizer of a failed scan.
 
 Canonical labeling: the minimum adjacency bit-string over all vertex
 orders that list degrees in non-increasing sequence.  That restriction
@@ -58,7 +58,6 @@ __all__ = [
 DEFAULT_MAX_N = 8
 _ORIENTATION_GUARD = 30  # a census stands for 2^m orientations
 _CENSUS_CHUNK = 4096
-_ENERGY_PREFILTER_MARGIN = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +367,39 @@ class MinimalityCertificate:
         }
 
 
+def _decide(n: int, census, target: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
+    """(verdict, min_coeffs) of the census vectors against the target vector.
+
+    Energy, (1/pi) * integral of ln(sum a_2i x^2i) / x^2, increases in
+    every coefficient, so the verdict is pass when each vector is >= the
+    target componentwise, or incomparable with a larger 60-digit energy.
+    On fail, min_coeffs is the vector of least float energy.
+    """
+    if target not in census:
+        raise RuntimeError(
+            "the predicted construction never appeared in the scan; this is a bug"
+        )
+    target_poly = SkewCharPoly(n, target)
+    target_energy = None
+    for vec in census:
+        rel = quasi_compare(target_poly, SkewCharPoly(n, vec))
+        if rel in (QuasiOrder.STRICTLY_LESS, QuasiOrder.EQUIVALENT):
+            continue
+        if rel is QuasiOrder.INCOMPARABLE:
+            if target_energy is None:
+                target_energy = energy_from_even_coeffs_precise(target)
+            # a difference, so mpmath's 53-bit default rounds only a tiny number
+            if energy_from_even_coeffs_precise(vec) - target_energy > 1e-30:
+                continue
+        return "fail", min(census, key=lambda v: (energy_from_even_coeffs(v), v))
+    return "pass", target
+
+
 def verify_theorem_1(n: int, m: int, max_n: int = DEFAULT_MAX_N) -> MinimalityCertificate:
     """Scan every orientation of every connected (n, m) class for the minimum.
 
-    The minimum is located by float energy with a 1e-6 margin and then
-    confirmed exactly: every in-margin competitor must be strictly
-    dominated componentwise by the predicted vector (which implies a
-    strictly larger energy).  Incomparable in-margin competitors, which
-    the expected outcome never produces, are settled by 60-digit roots.
+    The verdict is exact (see _decide): integer comparisons with the
+    predicted construction's vector, unless some vector is incomparable.
 
     The scan is serial.  A class's census is only 2^(m-n+1) <= 2^(n-4)
     matrices, so shipping the class to a worker process costs more than
@@ -404,43 +428,7 @@ def verify_theorem_1(n: int, m: int, max_n: int = DEFAULT_MAX_N) -> MinimalityCe
     orientations = sum(census.values())
     if orientations != len(classes) * (1 << m):
         raise RuntimeError("orientation count does not add up; this is a bug")
-    if target not in census:
-        raise RuntimeError(
-            "the predicted construction never appeared in the scan; this is a bug"
-        )
-
-    energies = {vec: energy_from_even_coeffs(vec) for vec in census}
-    float_min = min(energies.values())
-    in_margin = [
-        vec for vec, e in energies.items() if e <= float_min + _ENERGY_PREFILTER_MARGIN
-    ]
-
-    verdict = "pass"
-    min_coeffs = target
-    if energies[target] > float_min + _ENERGY_PREFILTER_MARGIN:
-        verdict = "fail"
-        min_coeffs = min(in_margin, key=lambda vec: energies[vec])
-    else:
-        target_poly = SkewCharPoly(n, target)
-        for vec in in_margin:
-            if vec == target:
-                continue
-            rel = quasi_compare(target_poly, SkewCharPoly(n, vec))
-            if rel is QuasiOrder.STRICTLY_LESS:
-                continue
-            if rel is QuasiOrder.STRICTLY_GREATER:
-                verdict = "fail"
-                min_coeffs = vec
-                break
-            # incomparable inside the margin: settle with high precision
-            et = energy_from_even_coeffs_precise(target)
-            ev = energy_from_even_coeffs_precise(vec)
-            if et < ev - 1e-30:
-                continue
-            verdict = "fail"
-            if ev < et:
-                min_coeffs = vec
-            break
+    verdict, min_coeffs = _decide(n, census, target)
 
     return MinimalityCertificate(
         n=n,

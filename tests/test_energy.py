@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from skewenergy.energy import (
     _GL15,
     adjacency_energy_tree,
     energy_from_even_coeffs,
+    energy_from_even_coeffs_precise,
     energy_report,
     log_psi_over_x2,
     skew_energy_integral,
@@ -237,6 +239,32 @@ class TestCoefficientEnergy:
             2 * math.sqrt(7 + 2 * math.sqrt(3))
         )
         assert energy_from_even_coeffs((1,)) == 0.0
+
+
+class TestPreciseEnergy:
+    """The 60-digit route returns for repeated and zero roots, where a
+    root finder does not converge."""
+
+    @pytest.mark.parametrize(
+        "coeffs,closed_form",
+        [
+            ((1, 4, 4), lambda: 2 * mp.sqrt(8)),
+            ((1, 6, 1), lambda: 2 * mp.sqrt(8)),
+            ((1, 2, 1), lambda: mp.mpf(4)),
+            ((1, 6, 12, 8), lambda: 6 * mp.sqrt(2)),
+            ((1, 7, 4, 0), lambda: 2 * mp.sqrt(11)),
+            ((1,), lambda: mp.mpf(0)),
+        ],
+    )
+    def test_closed_forms(self, coeffs, closed_form):
+        with mp.workdps(60):
+            error = energy_from_even_coeffs_precise(coeffs) - closed_form()
+            assert abs(error) < mp.mpf("1e-40")
+
+    def test_three_zero_roots_match_float_route(self):
+        coeffs = (1, 10, 7, 0, 0, 0)
+        precise = energy_from_even_coeffs_precise(coeffs)
+        assert abs(float(precise) - energy_from_even_coeffs(coeffs)) < 1e-9
 
 
 def test_psi_positivity_on_grid():

@@ -1,5 +1,6 @@
 """Class enumeration, orientation scans, bounds, and the minimality search."""
 
+import json
 import random
 from collections import Counter
 from math import comb, factorial
@@ -20,6 +21,7 @@ from skewenergy.extremal import (
     _canonical,
     _check_complete,
     _connected_classes,
+    _decide,
     _on_cycle,
     _tree_classes,
     crossover_table,
@@ -297,6 +299,53 @@ class TestVerify:
             for vec, count in orientation_coefficient_census(ug).items():
                 rel = quasi_compare(target, SkewCharPoly(6, vec))
                 assert rel in (QuasiOrder.STRICTLY_LESS, QuasiOrder.EQUIVALENT)
+
+
+class TestDecide:
+    """Synthetic n = 4 censuses, where E = 2 sqrt(a_2 + 2 sqrt(a_4));
+    the target (1, 3, 2) has E = 2 + 2 sqrt(2)."""
+
+    TARGET = (1, 3, 2)
+
+    @pytest.mark.parametrize(
+        "rival,want",
+        [
+            ((1, 4, 2), ("pass", TARGET)),  # dominated: E = 2 sqrt(4 + 2 sqrt 2)
+            ((1, 3, 1), ("fail", (1, 3, 1))),  # dominating: E = 2 sqrt 5
+            ((1, 6, 0), ("pass", TARGET)),  # incomparable, E = 2 sqrt 6 higher
+            ((1, 5, 0), ("fail", (1, 5, 0))),  # incomparable, E = 2 sqrt 5 lower
+        ],
+    )
+    def test_rival(self, rival, want):
+        census = Counter({self.TARGET: 3, rival: 5})
+        assert _decide(4, census, self.TARGET) == want
+
+    def test_exact_tie_fails(self):
+        # both have E = 2 sqrt 8; a tie is not a strict minimum
+        census = Counter({(1, 4, 4): 1, (1, 6, 1): 1})
+        verdict, min_coeffs = _decide(4, census, (1, 4, 4))
+        assert verdict == "fail"
+        assert min_coeffs in census
+
+    def test_absent_target_raises(self):
+        with pytest.raises(RuntimeError, match="never appeared"):
+            _decide(4, Counter({(1, 4, 2): 1}), self.TARGET)
+
+    def test_wrong_prediction_exits_1(self, monkeypatch, capsys):
+        # o-plus loses to b-plus above the crossover, so (7, 9) must fail
+        monkeypatch.setattr(extremal, "predicted_family", lambda n, m: "O_plus")
+        assert main(["verify", "--n", "7", "--m", "9"]) == 1
+        cert = json.loads(capsys.readouterr().out)
+        assert cert["verdict"] == "fail"
+        assert cert["min_coeffs"] == [1, 9, 4, 0]
+
+    def test_pass_needs_no_float_energy(self, monkeypatch):
+        def refuse(coeffs, *args):
+            raise AssertionError(f"energy evaluated for {coeffs}")
+
+        monkeypatch.setattr(extremal, "energy_from_even_coeffs", refuse)
+        monkeypatch.setattr(extremal, "energy_from_even_coeffs_precise", refuse)
+        assert verify_theorem_1(6, 7).verdict == "pass"
 
 
 class TestDominanceSplitByMaxDegree:
