@@ -45,7 +45,8 @@ exit codes:
   2  command-line usage error
   3  invalid graph input (parse error or invariant violation)
   4  parameter outside an operation's valid window
-  5  internal exactness failure (a bug; please report)
+  5  internal error: an exactness check failed or an unexpected exception
+     (a bug; please report)
 """
 
 _CONSTRUCTIONS = ("o-plus", "b-plus", "star", "path", "cycle-odd", "cycle-even")
@@ -131,7 +132,7 @@ def _cmd_energy(args) -> int:
     """Print both energy routes with only the digits they carry.
 
     Each energy carries a few ulp of rounding noise whose bits depend on
-    the machine (numpy's vectorized tan/log, summed over many quadrature
+    the machine (numpy's vectorized exp/log, summed over the quadrature
     nodes), so no output shows them.
     ``spectral`` and ``integral`` are printed to 12 significant digits,
     a last place of at least 4500 ulp.  ``discrepancy`` is their
@@ -312,6 +313,10 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN_ERROR
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        # anything else is a bug too; exit 1 would read as a failed verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -3,11 +3,10 @@
 Nothing here shares code with the production paths: determinants go
 through Bareiss elimination and Lagrange interpolation or the
 Faddeev-LeVerrier recursion, orientation censuses through the full
-2^m stream, matchings and quadrangles through raw subset scans,
-isomorphism through networkx's VF2, and the Gauss-Legendre rule through
-Newton's method on P_n in mpmath.  The one exception is the unfiltered
-class augmentation, which shares the canonical form with the enumerator
-it checks.  Slow and simple on purpose.
+2^m stream, matchings and quadrangles through raw subset scans, and
+isomorphism through networkx's VF2.  The one exception is the
+unfiltered class augmentation, which shares the canonical form with the
+enumerator it checks.  Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -149,35 +148,6 @@ def brute_quadrangle_edge_sets(ug: UndirectedGraph) -> list[frozenset]:
         if len(deg) == 4 and all(d == 2 for d in deg.values()):
             found.append(frozenset(combo))
     return found
-
-
-def gauss_legendre_polished(n: int, dps: int = 50):
-    """Exact n-point Gauss-Legendre nodes and weights, ascending, in mpmath.
-
-    Each positive root of P_n is Newton-polished from its asymptotic
-    start; the negatives mirror them and odd n adds the exact root 0.
-    """
-    import mpmath as mp
-
-    def legendre(x):
-        p0, p1 = mp.mpf(1), x
-        for k in range(2, n + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        return p1, n * (x * p1 - p0) / (x * x - 1)
-
-    with mp.workdps(dps):
-        positive = []
-        for k in range(1, n // 2 + 1):
-            x = mp.cos(mp.pi * (k - mp.mpf(1) / 4) / (n + mp.mpf(1) / 2))
-            for _ in range(50):
-                p, dp = legendre(x)
-                x -= p / dp
-                if abs(p / dp) < mp.mpf(10) ** (5 - dps):
-                    break
-            positive.append(x)
-        nodes = [-x for x in positive] + ([mp.mpf(0)] if n % 2 else []) + positive[::-1]
-        weights = [2 / ((1 - x * x) * legendre(x)[1] ** 2) for x in nodes]
-        return nodes, weights
 
 
 def random_tree_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:

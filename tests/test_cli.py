@@ -89,6 +89,22 @@ class TestExitCodes:
             main(["verify", "--n", "6", "--m", "6", "--jobs", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "target,exc,argv",
+        [
+            ("verify_theorem_1", ZeroDivisionError, ["verify", "--n", "5", "--m", "5"]),
+            ("energy_report", ArithmeticError, ["energy", "--construct", "star", "--n", "3"]),
+        ],
+        ids=["verify", "energy"],
+    )
+    def test_unexpected_exception_is_5(self, target, exc, argv, capsys, monkeypatch):
+        def crash(*args, **kwargs):
+            raise exc("boom")
+
+        monkeypatch.setattr(cli, target, crash)
+        assert main(argv) == 5
+        assert f"internal error: {exc.__name__}: boom" in capsys.readouterr().err
+
     def test_source_must_be_unique(self, tmp_path, capsys):
         p = tmp_path / "g.graph"
         p.write_text("2 1\n0 1\n")

@@ -2,6 +2,7 @@
 
 import math
 import random
+import statistics
 
 import mpmath as mp
 import numpy as np
@@ -9,8 +10,7 @@ import pytest
 
 from skewenergy.charpoly import QuasiOrder, SkewCharPoly, charpoly, quasi_compare
 from skewenergy.energy import (
-    _GL7,
-    _GL15,
+    _truncation,
     adjacency_energy_tree,
     energy_from_even_coeffs,
     energy_from_even_coeffs_precise,
@@ -31,7 +31,7 @@ from skewenergy.graphs import (
     underlying,
 )
 
-from _oracles import gauss_legendre_polished, random_oriented, random_tree_edges
+from _oracles import random_oriented, random_tree_edges
 
 
 class TestSpectral:
@@ -103,31 +103,81 @@ class TestIntegral:
             assert rep.discrepancy <= 1e-6
             assert rep.tolerance_met
 
+    def test_random_routes_agree_closely_from_few_nodes(self):
+        rng = random.Random(4002)
+        reports = [energy_report(random_oriented(rng, rng.randint(1, 10))) for _ in range(40)]
+        assert statistics.median(rep.quadrature_nodes for rep in reports) < 800
+        assert max(rep.discrepancy for rep in reports) <= 1e-11
 
-class TestQuadratureTables:
-    """The literal rule is the correctly rounded Gauss-Legendre rule."""
+    @pytest.mark.parametrize(
+        "coeffs,exact,bound",
+        [
+            ((1, 1), lambda: mp.mpf(2), 1e-13),
+            ((1, 2, 1), lambda: mp.mpf(4), 1e-13),
+            ((1, 4, 4), lambda: 4 * mp.sqrt(2), 1e-13),
+            ((1, 6, 1), lambda: 2 * mp.sqrt(8), 1e-13),
+            ((1, 6, 12, 8), lambda: 6 * mp.sqrt(2), 1e-13),
+            ((1, 7, 4, 0), lambda: 2 * mp.sqrt(11), 1e-13),
+            (
+                (1, 10, 7, 0, 0, 0),
+                lambda: energy_from_even_coeffs_precise((1, 10, 7, 0, 0, 0)),
+                1e-12,
+            ),
+        ],
+    )
+    def test_exact_values_within_the_estimate(self, coeffs, exact, bound):
+        res = skew_energy_integral(SkewCharPoly(2 * (len(coeffs) - 1), coeffs))
+        assert res.tolerance_met
+        with mp.workdps(40):
+            error = abs(mp.mpf(res.value) - exact())
+            assert error <= bound
+            assert res.est_error >= error
 
-    @pytest.mark.parametrize("table", [_GL7, _GL15], ids=["gl7", "gl15"])
-    def test_each_entry_is_the_nearest_double(self, table):
-        import mpmath as mp
+    @pytest.mark.parametrize("coeffs", [(1, 4, 4), (1, 7, 4, 0)])
+    @pytest.mark.parametrize("node_cap", [50, 200, 1000])
+    def test_node_cap_is_never_exceeded(self, coeffs, node_cap):
+        p = SkewCharPoly(2 * (len(coeffs) - 1), coeffs)
+        res = skew_energy_integral(p, tol=1e-14, node_cap=node_cap)
+        assert res.nodes <= node_cap
+        assert res.tolerance_met == (res.est_error <= 1e-14)
 
-        nodes, weights = table
-        exact_nodes, exact_weights = gauss_legendre_polished(len(nodes))
-        with mp.workdps(50):
-            for got, exact in zip(list(nodes) + list(weights), exact_nodes + exact_weights):
-                got = float(got)
-                err = abs(mp.mpf(got) - exact)
-                for neighbour in (math.nextafter(got, -math.inf), math.nextafter(got, math.inf)):
-                    assert err <= abs(mp.mpf(neighbour) - exact), (got, exact)
+    @pytest.mark.parametrize(
+        "coeffs", [(1, 1), (1, 10, 7, 0, 0, 0), (1, 19, 121, 313, 310, 88, 0, 0)]
+    )
+    @pytest.mark.parametrize("eps", [1e-3, 1e-15])
+    def test_tail_bounds_cover_the_tails(self, coeffs, eps):
+        lo, hi, left, right = _truncation(list(coeffs), eps)
+        assert lo <= 0 <= hi
+        assert left <= eps and right <= eps
+        tail = list(coeffs)[:0:-1]  # a_2h, ..., a_2
 
-    @pytest.mark.parametrize("table", [_GL7, _GL15], ids=["gl7", "gl15"])
-    def test_symmetric_and_weights_sum_to_two(self, table):
-        nodes, weights = table
-        assert np.all(np.diff(nodes) > 0)
-        assert np.array_equal(nodes, -nodes[::-1])
-        assert np.array_equal(weights, weights[::-1])
-        # each weight is below 1/2, so rounding it moves it by at most 2^-55
-        assert abs(math.fsum(weights) - 2.0) <= len(weights) * 2.0**-55
+        def f(t):
+            x = mp.exp(t)
+            y = x * x
+            return mp.log1p(y * mp.polyval(tail, y)) / x
+
+        # for psi = 1 + x^2 the left bound is tight to 1e-31, below the
+        # rounding of the float that carries it
+        slack = 1 + 2.0**-50
+        with mp.workdps(30):
+            assert mp.quad(f, [-mp.inf, lo]) <= left * slack
+            assert mp.quad(f, [hi, mp.inf]) <= right * slack
+
+    @pytest.mark.parametrize("coeffs", [(1, 1), (1, 6, 12, 8), (1, 19, 121, 313, 310, 88, 0, 0)])
+    def test_integrand_within_the_rounding_allowance(self, coeffs):
+        """Each node value x * ln(psi(x)) / x^2 at x = e^t is within 4 * 2^-52
+        of its exact value, the share of the estimate's rounding allowance
+        that the integrand takes."""
+        t = np.arange(-40.0, 45.0, 0.25)
+        x = np.exp(t)
+        values = x * log_psi_over_x2(coeffs, x)
+        tail = list(coeffs)[:0:-1]
+        with mp.workdps(40):
+            for ti, got in zip(t, values):
+                xe = mp.exp(ti)
+                y = xe * xe
+                exact = mp.log1p(y * mp.polyval(tail, y)) / xe
+                assert abs(got - exact) <= 4 * 2.0**-52 * exact
 
 
 class TestDerivativeFormSpotCheck:
