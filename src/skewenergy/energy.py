@@ -1,8 +1,7 @@
 """Skew energy by two independent routes.
 
 The spectral route sums the singular values of the skew-adjacency
-matrix, computed through the symmetric eigenproblem of S^T S so only
-real arithmetic is involved.  The integral route evaluates
+matrix, from LAPACK's real SVD.  The integral route evaluates
 
     (1/pi) * integral over R of  ln(psi(x)) / x^2  dx
 
@@ -77,6 +76,8 @@ _TAIL_SHARE = 1e-6
 # 4 * 2^-52 of its exact value (the tests check this against mpmath), and
 # the sums and the scaling add a few units more.
 _ROUNDING = 2.0**-49
+# Working digits of energy_from_even_coeffs_precise.
+_PRECISE_DPS = 60
 
 
 @dataclass(frozen=True)
@@ -104,14 +105,9 @@ def skew_energy_spectral(g: OrientedGraph) -> float:
     """Sum of singular values of the skew-adjacency matrix."""
     s = skew_adjacency(g).astype(np.float64)
     try:
-        mu = np.linalg.eigvalsh(s.T @ s)
+        return float(np.linalg.svd(s, compute_uv=False).sum())
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigensolver failed on S^T S for matrix\n{s}") from exc
-    # zero eigenvalues come back as O(eps*norm) noise whose square root
-    # would pollute the sum; the true nonzero ones are far above this
-    floor = g.n * np.finfo(np.float64).eps * max(float(mu[-1]), 1.0)
-    mu = np.where(mu > floor, mu, 0.0)
-    return float(np.sqrt(mu).sum())
+        raise RuntimeError(f"SVD failed on the skew-adjacency matrix\n{s}") from exc
 
 
 def log_psi_over_x2(coeffs, x: np.ndarray) -> np.ndarray:
@@ -261,8 +257,9 @@ def energy_from_even_coeffs(coeffs) -> float:
     return float(2.0 * np.sqrt(np.clip(-roots.real, 0.0, None)).sum())
 
 
-def energy_from_even_coeffs_precise(coeffs, dps: int = 60):
-    """The energy integral of an even coefficient vector to dps digits, for tie-breaking.
+def energy_from_even_coeffs_precise(coeffs):
+    """The energy integral of an even coefficient vector to _PRECISE_DPS
+    digits, for tie-breaking.
 
     (2/pi) * integral over [0, inf) of log1p(y * h(y)) / y, y = x^2, with
     h the tail polynomial a_2 + a_4 y + ..., by mpmath's tanh-sinh
@@ -277,5 +274,5 @@ def energy_from_even_coeffs_precise(coeffs, dps: int = 60):
         y = x * x
         return mp.log1p(y * mp.polyval(tail, y)) / y
 
-    with mp.workdps(dps):
+    with mp.workdps(_PRECISE_DPS):
         return 2 * mp.quad(integrand, [0, 1, mp.inf]) / mp.pi

@@ -16,16 +16,17 @@ invariant, and it prunes the search to degree classes.  The final
 frontier of that search has one order per automorphism, so it also
 yields |Aut(G)|.
 
-Class enumeration grows each (n, m) class from the (n, m-1) classes by
-one edge, and canonicalizes a child only when its new edge has the
-largest invariant (max degree, min degree, common neighbours) among the
-child's cycle edges: the canonical-deletion filter of McKay's canonical
-augmentation ("Isomorph-free exhaustive generation", J. Algorithms 26,
-1998), which loses no class because deleting such an edge from any
-class leaves a connected (n, m-1) class.  Completeness is checked at run
-time: over the classes, sum n!/|Aut| must equal the labelled connected
-count, or enumeration raises RuntimeError.  Exhaustive by construction,
-hence the default cap at n = 8.
+Class enumeration is one memoized recursion.  Trees grow from the trees
+on one vertex fewer by a pendant vertex.  Every other (n, m) class grows
+from the (n, m-1) classes by one edge, and a child is canonicalized only
+when its new edge has the largest invariant (max degree, min degree,
+common neighbours) among the child's cycle edges: the canonical-deletion
+filter of McKay's canonical augmentation ("Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998), which loses no class because
+deleting such an edge from any class leaves a connected (n, m-1) class.
+Completeness is checked at run time: over the classes, sum n!/|Aut| must
+equal the labelled connected count, or enumeration raises RuntimeError.
+Exhaustive by construction, hence the default cap at n = 8.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from .charpoly import QuasiOrder, SkewCharPoly, _even_coeffs_batch, charpoly, quasi_compare
 from .energy import energy_from_even_coeffs, energy_from_even_coeffs_precise
-from .graphs import OrientedGraph, UndirectedGraph, construct_b_plus, construct_o_plus
+from .graphs import UndirectedGraph, construct_b_plus, construct_o_plus
 from .subgraphs import count_quadrangles
 
 __all__ = [
@@ -64,26 +65,23 @@ _CENSUS_CHUNK = 4096
 # canonical labeling and isomorphism-free enumeration
 # ---------------------------------------------------------------------------
 
-def _canonical(n: int, edges: tuple[tuple[int, int], ...]):
-    """(key, relabeled edges, |Aut|) under the degree-sorted minimum bit-string order.
+def _canonical(adj: list[int]) -> tuple[tuple[int, ...], int]:
+    """(key, |Aut|) of the graph with adjacency masks adj, under the
+    degree-sorted minimum bit-string order.
 
     Works breadth-first over partial vertex orders: at each depth keep
     every placement that attains the minimal next adjacency row, so all
     survivors share one row prefix and any completed order realizes the
     canonical key.  The final frontier holds every order that does, one
-    per automorphism, so its size is |Aut(G)|.
+    per automorphism, so its size is |Aut(G)|.  Row d of the key has bit
+    d-1-i set exactly when the vertices placed at i and d are adjacent,
+    so the key is the canonically labeled graph itself (_class_graph).
     """
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    n = len(adj)
     deg = [a.bit_count() for a in adj]
-    degseq = sorted(deg, reverse=True)
-
     frontier: list[tuple[tuple[int, ...], int]] = [((), 0)]
     rows: list[int] = []
-    for depth in range(n):
-        want = degseq[depth]
+    for want in sorted(deg, reverse=True):
         best_row = None
         extensions: list[tuple[tuple[int, ...], int]] = []
         for placed, used in frontier:
@@ -100,12 +98,15 @@ def _canonical(n: int, edges: tuple[tuple[int, int], ...]):
                     extensions.append((placed + (v,), used | 1 << v))
         rows.append(best_row)
         frontier = extensions
-    order = frontier[0][0]
-    position = {v: i for i, v in enumerate(order)}
-    relabeled = tuple(
-        sorted(tuple(sorted((position[u], position[v]))) for u, v in edges)
+    return tuple(rows), len(frontier)
+
+
+def _class_graph(n: int, key: tuple[int, ...]) -> UndirectedGraph:
+    """The canonically labeled graph a _canonical key describes."""
+    edges = tuple(
+        (i, d) for d, row in enumerate(key) for i in range(d) if row >> (d - 1 - i) & 1
     )
-    return tuple(rows), relabeled, len(frontier)
+    return UndirectedGraph(n, edges)
 
 
 @lru_cache(maxsize=None)
@@ -170,64 +171,64 @@ def _edge_invariant(adj: list[int], x: int, y: int) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=None)
-def _tree_classes(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """All trees on n vertices up to isomorphism, canonically labeled."""
-    if n == 1:
-        return ((),)
-    found: dict[tuple, tuple] = {}
-    for edges in _tree_classes(n - 1):
-        for v in range(n - 1):
-            key, canon, aut = _canonical(n, edges + ((v, n - 1),))
-            found.setdefault(key, (canon, aut))
-    _check_complete(n, n - 1, (aut for _, aut in found.values()))
-    return tuple(found[k][0] for k in sorted(found))
+def _connected_classes(n: int, m: int) -> tuple[UndirectedGraph, ...]:
+    """Connected classes with n vertices and m edges, canonically labeled.
 
+    Trees (m = n-1) grow from the trees on n-1 vertices by a pendant
+    vertex, since a tree less a leaf is a tree.  Every connected graph C
+    with m >= n edges has a cycle, and among its cycle edges one, e*, of
+    largest invariant (max degree, min degree, common neighbours).
+    C - e* is connected, so it is one of the (n, m-1) classes; that
+    class's representative plus the image of e* is isomorphic to C, and
+    the new edge has the largest invariant among the child's cycle
+    edges, since the invariant ignores labels.  So a child P + uv is
+    canonicalized only when no cycle edge of it beats uv's invariant:
+    the cheap first step of McKay's canonical augmentation
+    ("Isomorph-free exhaustive generation", J. Algorithms 26, 1998),
+    which drops most children before their canonical form is built.
 
-@lru_cache(maxsize=None)
-def _connected_classes(n: int, m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Connected classes with m edges, grown edge-by-edge from the trees.
-
-    Every connected graph C with m >= n edges has a cycle, and among its
-    cycle edges one, e*, of largest invariant (max degree, min degree,
-    common neighbours).  C - e* is connected, so it is one of the
-    (n, m-1) classes; that class's representative plus the image of e*
-    is isomorphic to C, and the new edge has the largest invariant among
-    the child's cycle edges, since the invariant ignores labels.  So a
-    child P + uv is canonicalized only when no cycle edge of it beats
-    uv's invariant: the cheap first step of McKay's canonical
-    augmentation ("Isomorph-free exhaustive generation", J. Algorithms
-    26, 1998), which drops most children before their canonical form is
-    built.  Classes are keyed by canonical form, so the output does not
-    depend on which child reached a class first.  Before returning, the
-    classes must satisfy sum n!/|Aut| = labelled connected count.
+    Children are deduplicated by canonical key, and only then is each
+    key decoded into its graph (_class_graph), in key order, so the
+    output does not depend on which child reached a class first.  Before
+    returning, the classes must satisfy sum n!/|Aut| = labelled
+    connected count.  The cache holds each class's graph once, and
+    enumerate_connected_underlying hands out those same objects.
     """
     if m < n - 1 or m > comb(n, 2):
         return ()
+    if n == 1:
+        return (UndirectedGraph(1, ()),)
+    found: dict[tuple[int, ...], int] = {}
     if m == n - 1:
-        return _tree_classes(n)
-    found: dict[tuple, tuple] = {}
-    for edges in _connected_classes(n, m - 1):
-        adj = [0] * n
-        for a, b in edges:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        for u in range(n):
-            for v in range(u + 1, n):
-                if adj[u] >> v & 1:
-                    continue
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-                mine = _edge_invariant(adj, u, v)
-                if not any(
-                    _edge_invariant(adj, x, y) > mine and _on_cycle(adj, x, y)
-                    for x, y in edges
-                ):
-                    key, canon, aut = _canonical(n, edges + ((u, v),))
-                    found.setdefault(key, (canon, aut))
-                adj[u] ^= 1 << v
-                adj[v] ^= 1 << u
-    _check_complete(n, m, (aut for _, aut in found.values()))
-    return tuple(found[k][0] for k in sorted(found))
+        leaf = n - 1
+        for tree in _connected_classes(n - 1, m - 1):
+            adj = tree.adjacency_masks() + [0]
+            for v in range(leaf):
+                adj[v] |= 1 << leaf
+                adj[leaf] = 1 << v
+                key, aut = _canonical(adj)
+                found.setdefault(key, aut)
+                adj[v] ^= 1 << leaf
+    else:
+        for parent in _connected_classes(n, m - 1):
+            adj = parent.adjacency_masks()
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if adj[u] >> v & 1:
+                        continue
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+                    mine = _edge_invariant(adj, u, v)
+                    if not any(
+                        _edge_invariant(adj, x, y) > mine and _on_cycle(adj, x, y)
+                        for x, y in parent.edges
+                    ):
+                        key, aut = _canonical(adj)
+                        found.setdefault(key, aut)
+                    adj[u] ^= 1 << v
+                    adj[v] ^= 1 << u
+    _check_complete(n, m, found.values())
+    return tuple(_class_graph(n, key) for key in sorted(found))
 
 
 def enumerate_connected_underlying(
@@ -243,7 +244,7 @@ def enumerate_connected_underlying(
         )
     if not (1 <= m <= comb(n, 2)):
         raise ValueError(f"need 1 <= m <= C(n,2) = {comb(n, 2)}, got m = {m}")
-    return [UndirectedGraph(n, edges) for edges in _connected_classes(n, m)]
+    return list(_connected_classes(n, m))
 
 
 # ---------------------------------------------------------------------------

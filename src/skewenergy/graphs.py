@@ -3,8 +3,8 @@
 An oriented graph is a simple undirected graph together with a chosen
 direction for each edge.  Vertices are the integers 0..n-1 throughout;
 the hub and apex vertices of the built-in extremal constructions sit at
-indices 0 and 1.  All types here are immutable and safe to share across
-worker processes.
+indices 0 and 1.  All types here are immutable, so one instance can be
+shared by every caller, as the class enumeration's cache does.
 
 Text interchange format ("oriented edge list"): the first significant
 line is "n m", followed by exactly m lines "t h" giving the tail and

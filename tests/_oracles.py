@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from skewenergy.extremal import _canonical, _tree_classes
+from skewenergy.extremal import _canonical, _class_graph
 from skewenergy.graphs import OrientedGraph, UndirectedGraph, build
 
 
@@ -237,20 +237,27 @@ def augment_every_non_edge(n: int, m: int) -> tuple[tuple[tuple[int, int], ...],
 
     The reference for the canonical-deletion filter in
     ``extremal._connected_classes``: the same canonical form and the same
-    order of the result, but every non-edge of every (n, m-1) class is
-    added and canonicalized.
+    order of the result, but every non-edge of every (n, m-1) class, and
+    every pendant vertex of every tree on n-1 vertices, is added and
+    canonicalized.
     """
     if m < n - 1 or m > comb(n, 2):
         return ()
+    if n == 1:
+        return ((),)
     if m == n - 1:
-        return _tree_classes(n)
-    found: dict[tuple, tuple] = {}
-    for edges in augment_every_non_edge(n, m - 1):
-        present = set(edges)
-        for u in range(n):
-            for v in range(u + 1, n):
-                if (u, v) in present:
-                    continue
-                key, canon, _ = _canonical(n, edges + ((u, v),))
-                found.setdefault(key, canon)
-    return tuple(found[k] for k in sorted(found))
+        children = [
+            edges + ((v, n - 1),)
+            for edges in augment_every_non_edge(n - 1, m - 1)
+            for v in range(n - 1)
+        ]
+    else:
+        children = [
+            edges + ((u, v),)
+            for edges in augment_every_non_edge(n, m - 1)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if (u, v) not in edges
+        ]
+    keys = {_canonical(UndirectedGraph(n, edges).adjacency_masks())[0] for edges in children}
+    return tuple(_class_graph(n, key).edges for key in sorted(keys))

@@ -20,10 +20,10 @@ from skewenergy.cli import main
 from skewenergy.extremal import (
     _canonical,
     _check_complete,
+    _class_graph,
     _connected_classes,
     _decide,
     _on_cycle,
-    _tree_classes,
     crossover_table,
     enumerate_connected_underlying,
     labelled_connected_count,
@@ -61,30 +61,45 @@ class TestCanonical:
             n = rng.randint(2, 7)
             pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
             edges = tuple(rng.sample(pool, rng.randint(1, len(pool))))
-            key, canon, aut = _canonical(n, edges)
+            key, aut = _canonical(UndirectedGraph(n, edges).adjacency_masks())
             perm = list(range(n))
             rng.shuffle(perm)
             shuffled = tuple(
                 tuple(sorted((perm[u], perm[v]))) for u, v in edges
             )
-            key2, canon2, aut2 = _canonical(n, shuffled)
-            assert key == key2 and canon == canon2 and aut == aut2
+            key2, aut2 = _canonical(UndirectedGraph(n, shuffled).adjacency_masks())
+            assert key == key2 and aut == aut2
+            assert _class_graph(n, key).m == len(edges)
 
     def test_canonical_labels_are_fixed_points(self):
-        for ug in enumerate_connected_underlying(6, 7):
-            _, again, _ = _canonical(ug.n, ug.edges)
-            assert again == ug.edges
+        # every class with n <= 7: its key decodes to the class itself,
+        # and the decoded graph re-canonicalizes to the same key and |Aut|
+        for n in range(1, 8):
+            for m in range(n - 1, comb(n, 2) + 1):
+                for ug in _connected_classes(n, m):
+                    key, aut = _canonical(ug.adjacency_masks())
+                    again = _class_graph(n, key)
+                    assert again.edges == ug.edges
+                    assert _canonical(again.adjacency_masks()) == (key, aut)
 
     def test_frontier_size_is_automorphism_count(self):
         for n in range(2, 7):
             for m in range(n - 1, comb(n, 2) + 1):
                 for ug in enumerate_connected_underlying(n, m):
-                    assert _canonical(n, ug.edges)[2] == nx_automorphism_count(ug), ug.edges
+                    aut = _canonical(ug.adjacency_masks())[1]
+                    assert aut == nx_automorphism_count(ug), ug.edges
 
 
 class TestClassEnumeration:
     def test_tree_counts(self):
-        assert [len(_tree_classes(n)) for n in range(1, 9)] == [1, 1, 1, 2, 3, 6, 11, 23]
+        trees = [len(_connected_classes(n, n - 1)) for n in range(1, 9)]
+        assert trees == [1, 1, 1, 2, 3, 6, 11, 23]
+
+    def test_repeated_calls_share_the_cached_classes(self):
+        first = enumerate_connected_underlying(6, 7)
+        second = enumerate_connected_underlying(6, 7)
+        assert first is not second and len(first) == len(second)
+        assert all(a is b for a, b in zip(first, second))
 
     def test_small_examples(self):
         assert len(enumerate_connected_underlying(4, 3)) == 2  # path and star
@@ -108,7 +123,8 @@ class TestClassEnumeration:
     @pytest.mark.parametrize("n,top", [(n, comb(n, 2)) for n in range(1, 8)] + [(8, 11)])
     def test_filter_matches_unfiltered_augmentation(self, n, top):
         for m in range(n - 1, top + 1):
-            assert _connected_classes(n, m) == augment_every_non_edge(n, m), (n, m)
+            ours = tuple(g.edges for g in _connected_classes(n, m))
+            assert ours == augment_every_non_edge(n, m), (n, m)
 
     def test_on_cycle_matches_networkx_bridges(self):
         import networkx as nx
@@ -128,24 +144,22 @@ class TestClassEnumeration:
         calls = 0
         real = extremal._canonical
 
-        def counted(n, edges):
+        def counted(adj):
             nonlocal calls
             calls += 1
-            return real(n, edges)
+            return real(adj)
 
         monkeypatch.setattr(extremal, "_canonical", counted)
         _connected_classes.cache_clear()
-        _tree_classes.cache_clear()
         try:
             for m in range(8, 12):
                 _connected_classes(8, m)
         finally:
             _connected_classes.cache_clear()
-            _tree_classes.cache_clear()
         assert 0 < calls < 4000
 
     def test_completeness_check_trips_on_a_dropped_or_duplicated_class(self):
-        auts = [_canonical(ug.n, ug.edges)[2] for ug in enumerate_connected_underlying(6, 7)]
+        auts = [_canonical(ug.adjacency_masks())[1] for ug in enumerate_connected_underlying(6, 7)]
         _check_complete(6, 7, auts)
         for i in range(len(auts)):
             with pytest.raises(RuntimeError, match="class enumeration"):
@@ -160,12 +174,10 @@ class TestClassEnumeration:
             extremal, "labelled_connected_count", lambda n, m: real(n, m) + ((n, m) == bad)
         )
         _connected_classes.cache_clear()
-        _tree_classes.cache_clear()
         try:
             assert main(["verify", "--n", "5", "--m", "5"]) == 5
         finally:
             _connected_classes.cache_clear()
-            _tree_classes.cache_clear()
         assert "class enumeration" in capsys.readouterr().err
 
     def test_results_are_connected_with_right_size(self):
