@@ -19,7 +19,9 @@ from .energy import (
     IntegralEnergy,
     adjacency_energy_tree,
     energy_from_even_coeffs,
+    energy_from_even_coeffs_precise,
     energy_report,
+    log_psi_over_x2,
     skew_energy_integral,
     skew_energy_spectral,
 )
@@ -55,9 +57,6 @@ from .graphs import (
 )
 from .subgraphs import (
     A4Bound,
-    ArcComponent,
-    BasicSubgraph,
-    CycleComponent,
     CycleParity,
     a4_bound_check,
     arc_on_even_cycle,
@@ -65,7 +64,6 @@ from .subgraphs import (
     count_matchings,
     count_quadrangles,
     cycle_parity,
-    enumerate_basic_subgraphs,
     matching_counts,
     quadrangles,
 )

@@ -212,6 +212,12 @@ def _connected_classes(n: int, m: int) -> tuple[UndirectedGraph, ...]:
     else:
         for parent in _connected_classes(n, m - 1):
             adj = parent.adjacency_masks()
+            # adding uv changes the invariant only of the edges at u or v,
+            # and keeps every cycle edge of the parent on a cycle
+            edges = [
+                (x, y, _edge_invariant(adj, x, y), _on_cycle(adj, x, y))
+                for x, y in parent.edges
+            ]
             for u in range(n):
                 for v in range(u + 1, n):
                     if adj[u] >> v & 1:
@@ -220,8 +226,10 @@ def _connected_classes(n: int, m: int) -> tuple[UndirectedGraph, ...]:
                     adj[v] |= 1 << u
                     mine = _edge_invariant(adj, u, v)
                     if not any(
-                        _edge_invariant(adj, x, y) > mine and _on_cycle(adj, x, y)
-                        for x, y in parent.edges
+                        (_edge_invariant(adj, x, y) if u in (x, y) or v in (x, y) else inv)
+                        > mine
+                        and (cyc or _on_cycle(adj, x, y))
+                        for x, y, inv, cyc in edges
                     ):
                         key, aut = _canonical(adj)
                         found.setdefault(key, aut)

@@ -3,8 +3,9 @@
 Matching counts, quadrangle (4-cycle) counts, even-cycle orientation
 parity, and the expansion of characteristic-polynomial coefficients over
 packings of arcs and even cycles.  Everything here is exact integer
-arithmetic and exhaustive enumeration; it exists to cross-check the
-linear-algebra route, so correctness beats speed throughout.
+arithmetic.  The expansion sums its terms' weights through one memoized
+recursion over vertex subsets instead of listing the terms; it shares
+no code with the linear-algebra route it cross-checks.
 """
 
 from __future__ import annotations
@@ -13,22 +14,18 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from math import comb
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 from .graphs import OrientedGraph, UndirectedGraph, underlying
 
 __all__ = [
     "CycleParity",
-    "ArcComponent",
-    "CycleComponent",
-    "BasicSubgraph",
     "count_matchings",
     "matching_counts",
     "count_quadrangles",
     "quadrangles",
     "cycle_parity",
     "arc_on_even_cycle",
-    "enumerate_basic_subgraphs",
     "coefficient_by_expansion",
     "A4Bound",
     "a4_bound_check",
@@ -132,10 +129,9 @@ def count_quadrangles(ug: UndirectedGraph) -> int:
     ) // 2
 
 
-def _arcs_along(g: OrientedGraph, seq: Sequence[int]) -> int:
-    arcs = g.arc_set
-    k = len(seq)
-    return sum((seq[i], seq[(i + 1) % k]) in arcs for i in range(k))
+def _arcs_along(arcs: frozenset[tuple[int, int]], seq: Sequence[int]) -> int:
+    """How many arcs run forward along the cyclic vertex sequence seq."""
+    return sum(map(arcs.__contains__, zip(seq, (*seq[1:], seq[0]))))
 
 
 def cycle_parity(g: OrientedGraph, cycle: Sequence[int]) -> CycleParity:
@@ -150,7 +146,7 @@ def cycle_parity(g: OrientedGraph, cycle: Sequence[int]) -> CycleParity:
     for u, v in zip(seq, seq[1:] + seq[:1]):
         if not (0 <= u < g.n and 0 <= v < g.n and adj[u] >> v & 1):
             raise ValueError(f"{cycle!r} is not a cycle: {u} and {v} are not adjacent")
-    along = _arcs_along(g, seq)
+    along = _arcs_along(g.arc_set, seq)
     return CycleParity.ODDLY_ORIENTED if along % 2 else CycleParity.EVENLY_ORIENTED
 
 
@@ -187,65 +183,52 @@ def arc_on_even_cycle(g: OrientedGraph, arc: tuple[int, int]) -> bool:
     return found
 
 
-@dataclass(frozen=True)
-class ArcComponent:
-    """A single arc used as a 2-vertex component."""
+def _even_cycles_at(
+    adj: list[int], v: int, avail: int, max_len: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """Simple cycles through v inside avail|{v}, of even length 4..max_len.
 
-    tail: int
-    head: int
+    Each cycle comes once, with its vertex mask, as the vertex sequence
+    from v whose second vertex is below its last.  Chords in the ambient
+    graph are ignored.
+    """
+    found: list[tuple[tuple[int, ...], int]] = []
+    path = [v]
 
-    @property
-    def vertices(self) -> tuple[int, int]:
-        return (self.tail, self.head)
+    def dfs(cur: int, used: int) -> None:
+        k = len(path)
+        step = adj[cur] & avail & ~used
+        if k >= 3 and k % 2:
+            # closing vertices: adjacent to v and above the second vertex
+            for w in _iter_bits(step & adj[v] & (-2 << path[1])):
+                found.append(((*path, w), used | 1 << v | 1 << w))
+        if k + 2 <= max_len:  # the shortest cycle past w has k + 2 vertices
+            for w in _iter_bits(step):
+                path.append(w)
+                dfs(w, used | (1 << w))
+                path.pop()
 
-
-@dataclass(frozen=True)
-class CycleComponent:
-    """An even cycle component, written from its smallest vertex."""
-
-    vertices: tuple[int, ...]
-    parity: CycleParity
-
-
-Component = Union[ArcComponent, CycleComponent]
-
-
-@dataclass(frozen=True)
-class BasicSubgraph:
-    """Vertex-disjoint union of arcs and even cycles."""
-
-    components: tuple[Component, ...]
-
-    @property
-    def vertex_count(self) -> int:
-        return sum(len(c.vertices) for c in self.components)
-
-    @property
-    def cycle_count(self) -> int:
-        return sum(isinstance(c, CycleComponent) for c in self.components)
-
-    @property
-    def evenly_oriented_count(self) -> int:
-        return sum(
-            isinstance(c, CycleComponent) and c.parity is CycleParity.EVENLY_ORIENTED
-            for c in self.components
-        )
-
-    def weight(self) -> int:
-        """Signed cycle weight: (-1)^(evenly oriented cycles) * 2^(cycles)."""
-        w = 1
-        for c in self.components:
-            if isinstance(c, CycleComponent):
-                w *= -2 if c.parity is CycleParity.EVENLY_ORIENTED else 2
-        return w
+    dfs(v, 0)
+    return found
 
 
-def enumerate_basic_subgraphs(g: OrientedGraph, i: int) -> list[BasicSubgraph]:
-    """All basic subgraphs of g covering exactly i vertices, each once.
+def coefficient_by_expansion(g: OrientedGraph, i: int) -> int:
+    """Characteristic-polynomial coefficient a_i from the subgraph expansion.
 
-    Components are anchored at their smallest vertex and generated in
-    increasing anchor order, which rules out duplicates.  Cycles need
-    only exist as subgraphs; chords in g do not disqualify them.
+    a_i is the sum, over the basic subgraphs of g on i vertices
+    (vertex-disjoint unions of arcs and even cycles, chords allowed), of
+    the product of their cycle weights: 2 for an oddly oriented cycle,
+    -2 for an evenly oriented one, 1 for an arc.  Serves as the
+    independent oracle for the exact linear-algebra route.
+
+    No subgraph is built.  total(avail, need) is the weighted sum over
+    the basic subgraphs on need vertices inside the vertex set avail.
+    At the lowest vertex v of avail it splits by v's component: none
+    (total(avail - v, need)), an arc vw (total(avail - v - w, need - 2))
+    or an even cycle C through v of length at most need, which adds its
+    weight times total(avail - C, need - |C|).  Weights multiply over
+    components and the sub-sum depends on nothing but (avail, need), so
+    the recursion memoizes on that pair, per call.
     """
     if i % 2:
         raise ValueError(f"basic subgraphs have even order, got i={i}")
@@ -253,72 +236,30 @@ def enumerate_basic_subgraphs(g: OrientedGraph, i: int) -> list[BasicSubgraph]:
         raise ValueError(f"i must lie in [0, {g.n}], got {i}")
     adj = underlying(g).adjacency_masks()
     arcs = g.arc_set
-    out: list[BasicSubgraph] = []
+    memo: dict[tuple[int, int], int] = {}
 
-    def oriented_arc(a: int, b: int) -> ArcComponent:
-        return ArcComponent(a, b) if (a, b) in arcs else ArcComponent(b, a)
-
-    def cycles_at(v: int, avail: int, max_len: int) -> list[tuple[int, ...]]:
-        # simple cycles through v inside avail|{v}, even length >= 4,
-        # second vertex < last vertex to fix the traversal direction
-        found: list[tuple[int, ...]] = []
-        path = [v]
-
-        def dfs(used: int) -> None:
-            cur = path[-1]
-            if len(path) >= 4 and len(path) % 2 == 0 and adj[cur] >> v & 1:
-                if path[1] < path[-1]:
-                    found.append(tuple(path))
-            if len(path) == max_len:
-                return
-            for w in _iter_bits(adj[cur] & avail & ~used):
-                path.append(w)
-                dfs(used | (1 << w))
-                path.pop()
-
-        dfs(0)
-        return found
-
-    def extend(avail: int, need: int, acc: list[Component]) -> None:
+    def total(avail: int, need: int) -> int:
         if need == 0:
-            out.append(BasicSubgraph(tuple(acc)))
-            return
-        if avail == 0 or avail.bit_count() < need:
-            return
+            return 1
+        if avail.bit_count() < need:
+            return 0
+        key = (avail, need)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
         v = (avail & -avail).bit_length() - 1
         rest = avail & ~(1 << v)
-        extend(rest, need, acc)  # leave v uncovered
+        s = total(rest, need)
         for w in _iter_bits(adj[v] & rest):
-            acc.append(oriented_arc(v, w))
-            extend(rest & ~(1 << w), need - 2, acc)
-            acc.pop()
+            s += total(rest & ~(1 << w), need - 2)
         if need >= 4:
-            for seq in cycles_at(v, rest, need):
-                along = _arcs_along(g, seq)
-                parity = (
-                    CycleParity.ODDLY_ORIENTED
-                    if along % 2
-                    else CycleParity.EVENLY_ORIENTED
-                )
-                acc.append(CycleComponent(seq, parity))
-                used = 0
-                for x in seq:
-                    used |= 1 << x
-                extend(avail & ~used, need - len(seq), acc)
-                acc.pop()
+            for seq, used in _even_cycles_at(adj, v, rest, need):
+                sign = 1 if _arcs_along(arcs, seq) % 2 else -1
+                s += 2 * sign * total(avail & ~used, need - len(seq))
+        memo[key] = s
+        return s
 
-    extend((1 << g.n) - 1, i, [])
-    return out
-
-
-def coefficient_by_expansion(g: OrientedGraph, i: int) -> int:
-    """Characteristic-polynomial coefficient a_i from the subgraph expansion.
-
-    Sums the signed cycle weight over every basic subgraph on i
-    vertices.  Serves as the independent oracle for the exact
-    linear-algebra route.
-    """
-    return sum(h.weight() for h in enumerate_basic_subgraphs(g, i))
+    return total((1 << g.n) - 1, i)
 
 
 @dataclass(frozen=True)
@@ -333,18 +274,21 @@ class A4Bound:
 def a4_bound_check(g: OrientedGraph) -> A4Bound:
     """Check a4 >= M(G,2) - 2 q(G), tight iff all quadrangles are evenly oriented.
 
-    The tightness flag is cross-validated against a direct parity scan
-    of every quadrangle; a disagreement would be an implementation bug.
+    M(G,2) = C(m,2) - sum_v C(d_v,2): of all edge pairs, exactly those
+    sharing a vertex are not 2-matchings.  The tightness flag is
+    cross-validated against a direct parity scan of every quadrangle; a
+    disagreement would be an implementation bug.
     """
     if g.n < 4:
         raise ValueError(f"needs at least 4 vertices, got n={g.n}")
     ug = underlying(g)
-    m2 = count_matchings(ug, 2)
+    m2 = comb(ug.m, 2) - sum(comb(d, 2) for d in ug.degrees())
     quads = quadrangles(ug)
     bound = m2 - 2 * len(quads)
     a4 = coefficient_by_expansion(g, 4)
     tight = a4 == bound
-    all_even = all(cycle_parity(g, seq) is CycleParity.EVENLY_ORIENTED for seq in quads)
+    arcs = g.arc_set
+    all_even = all(_arcs_along(arcs, seq) % 2 == 0 for seq in quads)
     if tight != all_even:
         raise RuntimeError(
             "tightness disagrees with the quadrangle parity scan; "

@@ -3,8 +3,9 @@
 Nothing here shares code with the production paths: determinants go
 through Bareiss elimination and Lagrange interpolation or the
 Faddeev-LeVerrier recursion, orientation censuses through the full
-2^m stream, matchings and quadrangles through raw subset scans, and
-isomorphism through networkx's VF2.  The one exception is the
+2^m stream, matchings and quadrangles through raw subset scans,
+isomorphism through networkx's VF2, and the subgraph expansion through
+a list of every basic subgraph.  The one exception is the
 unfiltered class augmentation, which shares the canonical form with the
 enumerator it checks.  Slow and simple on purpose.
 """
@@ -13,14 +14,17 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import Union
 
 import numpy as np
 
 from skewenergy.extremal import _canonical, _class_graph
-from skewenergy.graphs import OrientedGraph, UndirectedGraph, build
+from skewenergy.graphs import OrientedGraph, UndirectedGraph, build, underlying
+from skewenergy.subgraphs import CycleParity
 
 
 def bareiss_det(rows) -> int:
@@ -261,3 +265,144 @@ def augment_every_non_edge(n: int, m: int) -> tuple[tuple[tuple[int, int], ...],
         ]
     keys = {_canonical(UndirectedGraph(n, edges).adjacency_masks())[0] for edges in children}
     return tuple(_class_graph(n, key).edges for key in sorted(keys))
+
+
+# ---------------------------------------------------------------------------
+# basic subgraphs, listed one by one
+# ---------------------------------------------------------------------------
+
+def _iter_bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _arcs_along(g: OrientedGraph, seq) -> int:
+    arcs = g.arc_set
+    k = len(seq)
+    return sum((seq[i], seq[(i + 1) % k]) in arcs for i in range(k))
+
+
+@dataclass(frozen=True)
+class ArcComponent:
+    """A single arc used as a 2-vertex component."""
+
+    tail: int
+    head: int
+
+    @property
+    def vertices(self) -> tuple[int, int]:
+        return (self.tail, self.head)
+
+
+@dataclass(frozen=True)
+class CycleComponent:
+    """An even cycle component, written from its smallest vertex."""
+
+    vertices: tuple[int, ...]
+    parity: CycleParity
+
+
+Component = Union[ArcComponent, CycleComponent]
+
+
+@dataclass(frozen=True)
+class BasicSubgraph:
+    """Vertex-disjoint union of arcs and even cycles."""
+
+    components: tuple[Component, ...]
+
+    @property
+    def vertex_count(self) -> int:
+        return sum(len(c.vertices) for c in self.components)
+
+    @property
+    def cycle_count(self) -> int:
+        return sum(isinstance(c, CycleComponent) for c in self.components)
+
+    @property
+    def evenly_oriented_count(self) -> int:
+        return sum(
+            isinstance(c, CycleComponent) and c.parity is CycleParity.EVENLY_ORIENTED
+            for c in self.components
+        )
+
+    def weight(self) -> int:
+        """Signed cycle weight: (-1)^(evenly oriented cycles) * 2^(cycles)."""
+        w = 1
+        for c in self.components:
+            if isinstance(c, CycleComponent):
+                w *= -2 if c.parity is CycleParity.EVENLY_ORIENTED else 2
+        return w
+
+
+def enumerate_basic_subgraphs(g: OrientedGraph, i: int) -> list[BasicSubgraph]:
+    """All basic subgraphs of g covering exactly i vertices, each once.
+
+    Components are anchored at their smallest vertex and generated in
+    increasing anchor order, which rules out duplicates.  Cycles need
+    only exist as subgraphs; chords in g do not disqualify them.
+    """
+    if i % 2:
+        raise ValueError(f"basic subgraphs have even order, got i={i}")
+    if not (0 <= i <= g.n):
+        raise ValueError(f"i must lie in [0, {g.n}], got {i}")
+    adj = underlying(g).adjacency_masks()
+    arcs = g.arc_set
+    out: list[BasicSubgraph] = []
+
+    def oriented_arc(a: int, b: int) -> ArcComponent:
+        return ArcComponent(a, b) if (a, b) in arcs else ArcComponent(b, a)
+
+    def cycles_at(v: int, avail: int, max_len: int) -> list[tuple[int, ...]]:
+        # simple cycles through v inside avail|{v}, even length >= 4,
+        # second vertex < last vertex to fix the traversal direction
+        found: list[tuple[int, ...]] = []
+        path = [v]
+
+        def dfs(used: int) -> None:
+            cur = path[-1]
+            if len(path) >= 4 and len(path) % 2 == 0 and adj[cur] >> v & 1:
+                if path[1] < path[-1]:
+                    found.append(tuple(path))
+            if len(path) == max_len:
+                return
+            for w in _iter_bits(adj[cur] & avail & ~used):
+                path.append(w)
+                dfs(used | (1 << w))
+                path.pop()
+
+        dfs(0)
+        return found
+
+    def extend(avail: int, need: int, acc: list[Component]) -> None:
+        if need == 0:
+            out.append(BasicSubgraph(tuple(acc)))
+            return
+        if avail == 0 or avail.bit_count() < need:
+            return
+        v = (avail & -avail).bit_length() - 1
+        rest = avail & ~(1 << v)
+        extend(rest, need, acc)  # leave v uncovered
+        for w in _iter_bits(adj[v] & rest):
+            acc.append(oriented_arc(v, w))
+            extend(rest & ~(1 << w), need - 2, acc)
+            acc.pop()
+        if need >= 4:
+            for seq in cycles_at(v, rest, need):
+                along = _arcs_along(g, seq)
+                parity = (
+                    CycleParity.ODDLY_ORIENTED
+                    if along % 2
+                    else CycleParity.EVENLY_ORIENTED
+                )
+                acc.append(CycleComponent(seq, parity))
+                used = 0
+                for x in seq:
+                    used |= 1 << x
+                extend(avail & ~used, need - len(seq), acc)
+                acc.pop()
+
+    extend((1 << g.n) - 1, i, [])
+    return out

@@ -15,8 +15,6 @@ from skewenergy.graphs import (
     underlying,
 )
 from skewenergy.subgraphs import (
-    ArcComponent,
-    CycleComponent,
     CycleParity,
     a4_bound_check,
     arc_on_even_cycle,
@@ -24,12 +22,18 @@ from skewenergy.subgraphs import (
     count_matchings,
     count_quadrangles,
     cycle_parity,
-    enumerate_basic_subgraphs,
     matching_counts,
     quadrangles,
 )
 
-from _oracles import brute_matchings, brute_quadrangle_edge_sets, random_oriented
+from _oracles import (
+    ArcComponent,
+    brute_matchings,
+    brute_quadrangle_edge_sets,
+    enumerate_basic_subgraphs,
+    random_oriented,
+    random_tree_edges,
+)
 
 
 def fig_f_graph():
@@ -236,6 +240,32 @@ class TestCoefficientExpansion:
             for i in range(0, g.n + 1, 2):
                 assert coefficient_by_expansion(g, i) == p.coefficient(i)
 
+    def test_matches_listing_and_charpoly(self):
+        rng = random.Random(2011)
+        for _ in range(60):
+            g = random_oriented(rng, rng.randint(1, 9))
+            p = charpoly(g)
+            for i in range(0, g.n + 1, 2):
+                listed = sum(h.weight() for h in enumerate_basic_subgraphs(g, i))
+                assert coefficient_by_expansion(g, i) == listed == p.coefficient(i), (g, i)
+
+    def test_dense_graphs(self):
+        rng = random.Random(2012)
+        k8 = random_oriented(rng, 8, 28)
+        dense12 = random_oriented(rng, 12, 60)
+        cases = [(k8, i) for i in range(0, 9, 2)] + [(dense12, 4)]
+        for g, i in cases:
+            listed = sum(h.weight() for h in enumerate_basic_subgraphs(g, i))
+            assert coefficient_by_expansion(g, i) == listed == charpoly(g).coefficient(i)
+
+    def test_invalid_index_rejected(self):
+        g = oriented_star(4)
+        with pytest.raises(ValueError, match="even"):
+            coefficient_by_expansion(g, 3)
+        for i in (-2, g.n + 2):
+            with pytest.raises(ValueError, match="must lie in"):
+                coefficient_by_expansion(g, i)
+
 
 class TestA4Bound:
     def test_spec_examples(self):
@@ -256,6 +286,20 @@ class TestA4Bound:
             g = random_oriented(rng, rng.randint(4, 8))
             b = a4_bound_check(g)
             assert b.a4 >= b.lower_bound
+
+    def test_lower_bound_from_matchings_and_quadrangles(self):
+        # pins the closed form for M(G,2) against the matching recursion
+        rng = random.Random(2013)
+        for n in range(4, 15):
+            top = comb(n, 2)
+            for m in (n - 1, rng.randint(n, min(2 * n, top)), rng.randint(top // 2, top)):
+                if m == n - 1:
+                    g = build(n, random_tree_edges(rng, n))
+                else:
+                    g = random_oriented(rng, n, m)
+                ug = underlying(g)
+                want = count_matchings(ug, 2) - 2 * len(quadrangles(ug))
+                assert a4_bound_check(g).lower_bound == want, g
 
 
 def test_quadrangle_sequences_are_cycles():
