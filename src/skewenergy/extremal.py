@@ -1,13 +1,17 @@
 """Exhaustive desk-scale search for minimum-skew-energy oriented graphs.
 
-Pipeline, one serial pass class by class: enumerate connected
-underlying graphs up to isomorphism, census the orientations of every
-class (one per switching class, weighted by the class size), compute
-exact coefficient vectors in bulk, and compare the energy minimizers
-against the two hub constructions.  Energy increases in every
-coefficient, so the quasi-order on exact coefficient vectors decides the
-verdict, with the 60-digit energy integral for incomparable vectors;
-floats only name the minimizer of a failed scan.
+Pipeline: enumerate connected underlying graphs up to isomorphism,
+take a_4 of every orientation of every class (one per switching class,
+weighted by the class size) from one Walsh-Hadamard transform over the
+classes' 4-cycles, compute exact coefficient vectors only for the
+orientations whose a_4 is at most the predicted construction's, and
+compare those against it.  Both hub constructions have rank S <= 4, so
+the target is (1, m, a_4, 0, ..., 0), and a vector with a larger a_4 is
+strictly above it: skipping it changes no verdict and no minimizer.
+Energy increases in every coefficient, so the quasi-order on exact
+coefficient vectors decides the verdict, with the 60-digit energy
+integral for incomparable vectors; floats only name the minimizer of a
+failed scan.
 
 Canonical labeling: the minimum adjacency bit-string over all vertex
 orders that list degrees in non-increasing sequence.  That restriction
@@ -41,7 +45,7 @@ import numpy as np
 from .charpoly import QuasiOrder, SkewCharPoly, _even_coeffs_batch, charpoly, quasi_compare
 from .energy import energy_from_even_coeffs, energy_from_even_coeffs_precise
 from .graphs import UndirectedGraph, construct_b_plus, construct_o_plus
-from .subgraphs import count_quadrangles
+from .subgraphs import _two_matching_count, count_quadrangles, quadrangles
 
 __all__ = [
     "enumerate_connected_underlying",
@@ -212,12 +216,20 @@ def _connected_classes(n: int, m: int) -> tuple[UndirectedGraph, ...]:
     else:
         for parent in _connected_classes(n, m - 1):
             adj = parent.adjacency_masks()
-            # adding uv changes the invariant only of the edges at u or v,
-            # and keeps every cycle edge of the parent on a cycle
-            edges = [
-                (x, y, _edge_invariant(adj, x, y), _on_cycle(adj, x, y))
-                for x, y in parent.edges
-            ]
+            # adding uv keeps every cycle edge of the parent on a cycle and
+            # changes the invariant only of the edges at u or v, never
+            # lowering it; so the edges whose parent invariant beats uv's
+            # form a prefix of this ranking, and only the edges at u or v
+            # outside that prefix need their invariant recomputed
+            ranked = sorted(
+                ((_edge_invariant(adj, x, y), x, y, _on_cycle(adj, x, y))
+                 for x, y in parent.edges),
+                reverse=True,
+            )
+            at: list[list] = [[] for _ in range(n)]
+            for e in ranked:
+                at[e[1]].append(e)
+                at[e[2]].append(e)
             for u in range(n):
                 for v in range(u + 1, n):
                     if adj[u] >> v & 1:
@@ -225,12 +237,22 @@ def _connected_classes(n: int, m: int) -> tuple[UndirectedGraph, ...]:
                     adj[u] |= 1 << v
                     adj[v] |= 1 << u
                     mine = _edge_invariant(adj, u, v)
-                    if not any(
-                        (_edge_invariant(adj, x, y) if u in (x, y) or v in (x, y) else inv)
-                        > mine
-                        and (cyc or _on_cycle(adj, x, y))
-                        for x, y, inv, cyc in edges
-                    ):
+                    beaten = False
+                    for inv, x, y, cyc in ranked:
+                        if inv <= mine:
+                            break
+                        if cyc or _on_cycle(adj, x, y):
+                            beaten = True
+                            break
+                    if not beaten:
+                        beaten = any(
+                            inv <= mine
+                            and _edge_invariant(adj, x, y) > mine
+                            and (cyc or _on_cycle(adj, x, y))
+                            for w in (u, v)
+                            for inv, x, y, cyc in at[w]
+                        )
+                    if not beaten:
                         key, aut = _canonical(adj)
                         found.setdefault(key, aut)
                     adj[u] ^= 1 << v
@@ -280,6 +302,25 @@ def _spanning_forest(ug: UndirectedGraph):
     return forest, rest
 
 
+def _orientation_matrices(n: int, forest, rest, codes: np.ndarray) -> np.ndarray:
+    """Skew matrices of the census orientations with the given codes.
+
+    Every forest edge (u, v) is directed u -> v; edge i of rest is
+    directed as listed when bit i of the code is 0 and reversed when it
+    is 1.  Edges are listed low vertex first, so code 0 directs every
+    edge from its lower to its higher vertex.
+    """
+    s = np.zeros((len(codes), n, n), dtype=np.int64)
+    tails, heads = np.array(forest, dtype=np.intp).reshape(-1, 2).T
+    s[:, tails, heads] = 1
+    s[:, heads, tails] = -1
+    tails, heads = np.array(rest, dtype=np.intp).reshape(-1, 2).T
+    signs = 1 - 2 * ((codes[:, None] >> np.arange(len(rest), dtype=np.int64)) & 1)
+    s[:, tails, heads] = signs
+    s[:, heads, tails] = -signs
+    return s
+
+
 def orientation_coefficient_census(
     ug: UndirectedGraph, chunk: int = _CENSUS_CHUNK
 ) -> Counter:
@@ -298,28 +339,61 @@ def orientation_coefficient_census(
         raise ValueError(
             f"refusing to scan 2^{ug.m} orientations (guard is 2^{_ORIENTATION_GUARD})"
         )
-    n = ug.n
     forest, rest = _spanning_forest(ug)
-    fixed = np.zeros((n, n), dtype=np.int64)
-    for u, v in forest:
-        fixed[u, v] = 1
-        fixed[v, u] = -1
-    tails, heads = np.array(rest, dtype=np.intp).reshape(-1, 2).T
-    shifts = np.arange(len(rest), dtype=np.int64)
     counts: Counter = Counter()
     total = 1 << len(rest)
     for start in range(0, total, chunk):
         codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        signs = 1 - 2 * ((codes[:, None] >> shifts) & 1)
-        s = np.repeat(fixed[None], len(codes), axis=0)
-        s[:, tails, heads] = signs
-        s[:, heads, tails] = -signs
-        block = _even_coeffs_batch(s)
-        if n >= 2 and not (block[:, 1] == ug.m).all():
+        block = _even_coeffs_batch(_orientation_matrices(ug.n, forest, rest, codes))
+        if ug.n >= 2 and not (block[:, 1] == ug.m).all():
             raise RuntimeError("a_2 disagrees with the arc count; this is a bug")
         counts.update(map(tuple, block.tolist()))
     weight = 1 << len(forest)
     return Counter({vec: count * weight for vec, count in counts.items()})
+
+
+def _a4_spectra(classes, r: int) -> np.ndarray:
+    """a_4 of every census orientation of every class, as an int32 array.
+
+    Row k, column b is a_4 of class k's orientation with code b (see
+    _orientation_matrices); each class must have r = m - |F| edges
+    outside its spanning forest.  a_4 sums the basic subgraphs on four
+    vertices (Hou and Lei, Electron. J. Combin. 18, 2011): each of the
+    M(G,2) 2-matchings weighs 1, and each 4-cycle Q weighs 2 when oddly
+    oriented and -2 when evenly.  The code bits of Q's non-forest edges
+    form mask_Q, and code b reverses Q's parity exactly when
+    popcount(b & mask_Q) is odd.  So with w_Q the weight at code 0,
+
+        a_4(b) = M(G,2) + sum_Q w_Q (-1)^popcount(b & mask_Q),
+
+    the Walsh-Hadamard transform of the row holding M(G,2) at index 0
+    and each w_Q added at index mask_Q.  One in-place butterfly pass per
+    code bit transforms every row at once.
+    """
+    spectra = np.zeros((len(classes), 1 << r), dtype=np.int32)
+    for k, ug in enumerate(classes):
+        _, rest = _spanning_forest(ug)
+        bit = {e: 1 << i for i, e in enumerate(rest)}
+        row = [0] * (1 << r)
+        row[0] = _two_matching_count(ug)
+        for quad in quadrangles(ug):
+            mask, against = 0, 0
+            for x, y in zip(quad, quad[1:] + quad[:1]):
+                if x < y:
+                    mask |= bit.get((x, y), 0)
+                else:  # code 0 directs every edge up, against this step
+                    mask |= bit.get((y, x), 0)
+                    against += 1
+            # of 4 arcs, an odd number along the cycle means an odd number against
+            row[mask] += 2 if against % 2 else -2
+        spectra[k] = row
+    for j in range(r):
+        pairs = spectra.reshape(len(classes), -1, 2, 1 << j)
+        lo, hi = pairs[:, :, 0], pairs[:, :, 1]
+        lo += hi  # lo + hi
+        hi *= -2
+        hi += lo  # (lo + hi) - 2 hi = lo - hi
+    return spectra
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +484,17 @@ def verify_theorem_1(n: int, m: int, max_n: int = DEFAULT_MAX_N) -> MinimalityCe
     The verdict is exact (see _decide): integer comparisons with the
     predicted construction's vector, unless some vector is incomparable.
 
-    The scan is serial.  A class's census is only 2^(m-n+1) <= 2^(n-4)
-    matrices, so shipping the class to a worker process costs more than
-    scanning it.
+    Every arc of both constructions touches vertex 0 or 1, so S has rank
+    at most 4 and the target is (1, m, a_4, 0, ..., 0); this is checked.
+    Every census vector is (1, m, a_4, ...) with a nonnegative tail, so
+    one with a_4 above the target's is strictly greater than the target
+    in the quasi-order: _decide passes over it, and with a larger energy
+    than the target's it cannot be the least-energy vector on fail.  So
+    _a4_spectra gives a_4 for every census orientation of every class
+    at once, and only the orientations whose a_4 is at most the target's
+    go through the exact kernel, which must agree with the transform on
+    each of them.  Those kernel vectors, each weighted by the 2^(n-1)
+    switchings of its orientation, are the census _decide reads.
     """
     _check_window(n, m)
     classes = enumerate_connected_underlying(n, m, max_n=max_n)
@@ -429,14 +511,29 @@ def verify_theorem_1(n: int, m: int, max_n: int = DEFAULT_MAX_N) -> MinimalityCe
                 "the two constructions disagree at the crossover; this is a bug"
             )
         target = o_vec
+    if any(target[3:]):
+        raise RuntimeError(
+            f"the target {target} has a nonzero coefficient past a_4; this is a bug"
+        )
 
-    census: Counter = Counter()
-    for ug in classes:
-        census.update(orientation_coefficient_census(ug))
-
-    orientations = sum(census.values())
-    if orientations != len(classes) * (1 << m):
+    a4 = _a4_spectra(classes, m - n + 1)
+    orientations = a4.size << (n - 1)
+    if orientations != len(classes) << m:
         raise RuntimeError("orientation count does not add up; this is a bug")
+    ks, codes = np.nonzero(a4 <= target[2])
+    blocks = [np.empty((0, n, n), dtype=np.int64)]
+    for k in sorted(set(ks.tolist())):
+        forest, rest = _spanning_forest(classes[k])
+        blocks.append(_orientation_matrices(n, forest, rest, codes[ks == k]))
+    kernel = _even_coeffs_batch(np.concatenate(blocks))
+    if not (kernel[:, 1] == m).all():
+        raise RuntimeError("a_2 disagrees with the arc count; this is a bug")
+    if not (kernel[:, 2] == a4[ks, codes]).all():
+        raise RuntimeError("the kernel's a_4 disagrees with the transform's; this is a bug")
+    weight = 1 << (n - 1)
+    census = Counter(
+        {vec: count * weight for vec, count in Counter(map(tuple, kernel.tolist())).items()}
+    )
     verdict, min_coeffs = _decide(n, census, target)
 
     return MinimalityCertificate(

@@ -109,8 +109,9 @@ def quadrangles(ug: UndirectedGraph) -> list[tuple[int, int, int, int]]:
     for a in range(ug.n):
         above = -1 << (a + 1)
         for c in range(a + 1, ug.n):
-            common = _iter_bits(adj[a] & adj[c] & above)
-            found.extend((a, b, c, d) for b, d in combinations(common, 2))
+            common = adj[a] & adj[c] & above
+            if common & (common - 1):  # two or more
+                found.extend((a, b, c, d) for b, d in combinations(_iter_bits(common), 2))
     return found
 
 
@@ -127,6 +128,15 @@ def count_quadrangles(ug: UndirectedGraph) -> int:
         for a in range(ug.n)
         for c in range(a + 1, ug.n)
     ) // 2
+
+
+def _two_matching_count(ug: UndirectedGraph) -> int:
+    """M(G,2) in closed form: C(m,2) - sum_v C(d_v,2).
+
+    Of all pairs of edges, exactly those sharing a vertex are not
+    2-matchings, and each such pair shares one vertex.
+    """
+    return comb(ug.m, 2) - sum(comb(d, 2) for d in ug.degrees())
 
 
 def _arcs_along(arcs: frozenset[tuple[int, int]], seq: Sequence[int]) -> int:
@@ -274,15 +284,14 @@ class A4Bound:
 def a4_bound_check(g: OrientedGraph) -> A4Bound:
     """Check a4 >= M(G,2) - 2 q(G), tight iff all quadrangles are evenly oriented.
 
-    M(G,2) = C(m,2) - sum_v C(d_v,2): of all edge pairs, exactly those
-    sharing a vertex are not 2-matchings.  The tightness flag is
+    M(G,2) comes from _two_matching_count.  The tightness flag is
     cross-validated against a direct parity scan of every quadrangle; a
     disagreement would be an implementation bug.
     """
     if g.n < 4:
         raise ValueError(f"needs at least 4 vertices, got n={g.n}")
     ug = underlying(g)
-    m2 = comb(ug.m, 2) - sum(comb(d, 2) for d in ug.degrees())
+    m2 = _two_matching_count(ug)
     quads = quadrangles(ug)
     bound = m2 - 2 * len(quads)
     a4 = coefficient_by_expansion(g, 4)

@@ -5,15 +5,18 @@ through Bareiss elimination and Lagrange interpolation or the
 Faddeev-LeVerrier recursion, orientation censuses through the full
 2^m stream, matchings and quadrangles through raw subset scans,
 isomorphism through networkx's VF2, and the subgraph expansion through
-a list of every basic subgraph.  The one exception is the
-unfiltered class augmentation, which shares the canonical form with the
-enumerator it checks.  Slow and simple on purpose.
+a list of every basic subgraph.  Two exceptions share production code:
+the unfiltered class augmentation shares the canonical form with the
+enumerator it checks, and the full-census certificate shares the
+per-class census and the verdict with the a_4 transform it checks.
+Slow and simple on purpose.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,8 +25,23 @@ from typing import Union
 
 import numpy as np
 
-from skewenergy.extremal import _canonical, _class_graph
-from skewenergy.graphs import OrientedGraph, UndirectedGraph, build, underlying
+from skewenergy.charpoly import charpoly
+from skewenergy.extremal import (
+    MinimalityCertificate,
+    _canonical,
+    _class_graph,
+    _decide,
+    enumerate_connected_underlying,
+    orientation_coefficient_census,
+)
+from skewenergy.graphs import (
+    OrientedGraph,
+    UndirectedGraph,
+    build,
+    construct_b_plus,
+    construct_o_plus,
+    underlying,
+)
 from skewenergy.subgraphs import CycleParity
 
 
@@ -265,6 +283,36 @@ def augment_every_non_edge(n: int, m: int) -> tuple[tuple[tuple[int, int], ...],
         ]
     keys = {_canonical(UndirectedGraph(n, edges).adjacency_masks())[0] for edges in children}
     return tuple(_class_graph(n, key).edges for key in sorted(keys))
+
+
+def census_certificate(n: int, m: int, predicted: str) -> MinimalityCertificate:
+    """The certificate from the full census: every orientation of every
+    class through the exact kernel, then the verdict.
+
+    The reference for ``verify_theorem_1``, which sends only the
+    orientations whose a_4 could reach the target through the kernel.
+    """
+    classes = enumerate_connected_underlying(n, m, max_n=n)
+    o_vec = charpoly(construct_o_plus(n, m)).coeffs
+    b_vec = charpoly(construct_b_plus(n, m)).coeffs
+    if predicted == "Both":
+        assert o_vec == b_vec
+    target = b_vec if predicted == "B_plus" else o_vec
+    census: Counter = Counter()
+    for ug in classes:
+        census.update(orientation_coefficient_census(ug))
+    assert sum(census.values()) == len(classes) << m
+    verdict, min_coeffs = _decide(n, census, target)
+    return MinimalityCertificate(
+        n=n,
+        m=m,
+        predicted=predicted,
+        min_coeffs=min_coeffs,
+        minimizer_count=census[min_coeffs],
+        verdict=verdict,
+        graphs_scanned=len(classes),
+        orientations_scanned=sum(census.values()),
+    )
 
 
 # ---------------------------------------------------------------------------

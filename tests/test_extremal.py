@@ -18,12 +18,15 @@ from skewenergy.charpoly import (
 from skewenergy import extremal
 from skewenergy.cli import main
 from skewenergy.extremal import (
+    _a4_spectra,
     _canonical,
     _check_complete,
     _class_graph,
     _connected_classes,
     _decide,
     _on_cycle,
+    _orientation_matrices,
+    _spanning_forest,
     crossover_table,
     enumerate_connected_underlying,
     labelled_connected_count,
@@ -38,6 +41,7 @@ from skewenergy.graphs import (
     build,
     construct_b_plus,
     construct_o_plus,
+    oriented_cycle,
     skew_adjacency,
     underlying,
 )
@@ -45,6 +49,7 @@ from skewenergy.subgraphs import CycleParity, cycle_parity
 
 from _oracles import (
     augment_every_non_edge,
+    census_certificate,
     enumerate_orientations,
     nx_automorphism_count,
     nx_connected_class_count,
@@ -52,6 +57,7 @@ from _oracles import (
 )
 
 THEOREM_PAIRS = [(5, 5), (6, 6), (6, 7), (7, 7), (7, 8), (7, 9)]
+WINDOWS_TO_8 = [(n, m) for n in range(5, 9) for m in range(n, 2 * (n - 2))]
 
 
 class TestCanonical:
@@ -358,6 +364,67 @@ class TestDecide:
         monkeypatch.setattr(extremal, "energy_from_even_coeffs", refuse)
         monkeypatch.setattr(extremal, "energy_from_even_coeffs_precise", refuse)
         assert verify_theorem_1(6, 7).verdict == "pass"
+
+
+class TestWalshCensus:
+    """verify_theorem_1 takes a_4 of every orientation from one
+    Walsh-Hadamard transform and runs the exact kernel only where a_4 is
+    at most the target's; the full census is its reference."""
+
+    def test_transform_matches_kernel_a4(self):
+        scanned = 0
+        for n, m in WINDOWS_TO_8:
+            classes = enumerate_connected_underlying(n, m)
+            spectra = _a4_spectra(classes, m - n + 1)
+            assert spectra.shape == (len(classes), 2 ** (m - n + 1))
+            for ug, row in zip(classes, spectra):
+                forest, rest = _spanning_forest(ug)
+                codes = np.arange(2 ** len(rest), dtype=np.int64)
+                kernel = _even_coeffs_batch(_orientation_matrices(n, forest, rest, codes))
+                assert kernel[:, 2].tolist() == row.tolist(), (n, m, ug.edges)
+                scanned += len(codes)
+        assert scanned == 19336
+
+    @pytest.mark.parametrize("n,m", WINDOWS_TO_8)
+    def test_matches_full_census(self, n, m):
+        want = census_certificate(n, m, predicted_family(n, m))
+        assert verify_theorem_1(n, m).to_dict() == want.to_dict()
+
+    @pytest.mark.parametrize(
+        "forced,n,m,verdict",
+        [
+            ("O_plus", 7, 9, "fail"),
+            ("B_plus", 8, 8, "fail"),
+            ("B_plus", 8, 9, "fail"),
+            ("B_plus", 8, 10, "pass"),  # the prediction itself
+            ("O_plus", 8, 10, "fail"),
+        ],
+    )
+    def test_forced_prediction_matches_full_census(self, monkeypatch, forced, n, m, verdict):
+        monkeypatch.setattr(extremal, "predicted_family", lambda n, m: forced)
+        cert = verify_theorem_1(n, m)
+        assert cert.verdict == verdict
+        assert cert.to_dict() == census_certificate(n, m, forced).to_dict()
+
+    def test_target_tail_exits_5(self, monkeypatch, capsys):
+        # an oddly oriented 6-cycle has a_6 = 4, so a_4 could not decide
+        bad = oriented_cycle(6, "odd")
+        assert any(charpoly(bad).coeffs[3:])
+        monkeypatch.setattr(extremal, "construct_o_plus", lambda n, m: bad)
+        assert main(["verify", "--n", "6", "--m", "6"]) == 5
+        assert "past a_4" in capsys.readouterr().err
+
+    def test_kernel_disagreeing_with_transform_exits_5(self, monkeypatch, capsys):
+        real = extremal._even_coeffs_batch
+
+        def perturbed(s):
+            out = real(s)
+            out[0, 2] += 1
+            return out
+
+        monkeypatch.setattr(extremal, "_even_coeffs_batch", perturbed)
+        assert main(["verify", "--n", "6", "--m", "7"]) == 5
+        assert "transform" in capsys.readouterr().err
 
 
 class TestDominanceSplitByMaxDegree:
