@@ -11,10 +11,14 @@ everything kept here.)
 The coefficients are computed exactly by one batched kernel: the
 even coefficients are the elementary symmetric functions of the
 squared singular values, whose power sums are traces of powers of
-S^T S, and Newton's identities turn those traces into coefficients.
-Every division is checked to be exact and the trace parity, the
-vanishing of e_(h+1) and nonnegativity are asserted; a violation
-raises RuntimeError because it can only mean a bug.
+S^T S, and Newton's identities turn those traces into coefficients,
+one whole-array product-and-sum per step.  The kernel runs in int64
+when a bound in n and the batch's largest arc count m allows it
+(3 m^(n//2 + 1) < 2^63: every graph up to n = 15, up to 47 arcs at
+n = 20) and on Python integers otherwise.  Every division is checked to be
+exact and the trace parity, the vanishing of e_(h+1) and
+nonnegativity are asserted; a violation raises RuntimeError because
+it can only mean a bug.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -92,18 +95,21 @@ class QuasiOrder(Enum):
 
 
 @lru_cache(maxsize=None)
-def _int64_recursion_safe(n: int) -> bool:
-    """Whether the Newton kernel for an n x n {-1,0,1} skew matrix fits in int64.
+def _int64_recursion_safe(n: int, m: int) -> bool:
+    """Whether int64 holds the Newton kernel for n x n skew matrices of at most m arcs.
 
     With m arcs, M = S^T S has trace 2m, so its eigenvalues (each
     lambda_j^2 twice) are at most m and the power sums satisfy
     p_k <= m^k.  By Cauchy-Schwarz every partial sum of a product entry
     of M^a (at most m^a) or of a trace sum(M^a o M^b) (at most 2 m^(a+b))
-    is bounded the same way, and e_k <= m^k / k!, so each Newton sum
-    stays below e * m^k.  Traces run up to k = h + 1 with h = n // 2,
-    and m <= C(n,2).
+    is bounded the same way, and e_k <= m^k / k!, so each term of a
+    Newton sum, and hence each of its partial sums in any order, stays
+    below e * m^k.  Traces run up to k = h + 1 with h = n // 2, so the
+    kernel fits when 3 m^(h+1) < 2^63.  The bound is keyed on the arc
+    count itself: a sparse n = 20 graph (m <= 47) runs in int64, a dense
+    n = 16 one (m >= 114) does not.
     """
-    return 3 * comb(n, 2) ** (n // 2 + 1) < 2**63
+    return 3 * m ** (n // 2 + 1) < 2**63
 
 
 def _even_coeffs_batch(s: np.ndarray) -> np.ndarray:
@@ -111,38 +117,49 @@ def _even_coeffs_batch(s: np.ndarray) -> np.ndarray:
 
     With +-i lambda_j the eigenvalues of S and M = S^T S = -S^2, the
     a_2k are the elementary symmetric functions e_k of the h = n // 2
-    values lambda_j^2, whose power sums are p_k = tr(M^k) / 2.  Newton's
-    identities k e_k = sum_i (-1)^(i-1) e_(k-i) p_i turn the traces into
-    coefficients, and tr(M^(a+b)) = sum(M^a o M^b) needs only the powers
-    up to M^ceil((h+1)/2).  Runs in int64 where _int64_recursion_safe
-    allows it and on Python integers in an object array otherwise.
+    values lambda_j^2, whose power sums are p_k = tr(M^k) / 2.  The
+    h + 1 traces come out as one (B, h + 1) array, since
+    tr(M^(a+b)) = sum(M^a o M^b) needs only the powers up to
+    M^ceil((h+1)/2).  Newton's identities k e_k = sum_i (-1)^(i-1)
+    e_(k-i) p_i then turn them into coefficients, each step k one
+    product-and-sum over the first k stored columns of e (reversed) and
+    of the signed p.  Runs in int64 where _int64_recursion_safe allows
+    it for n and the batch's largest arc count (half the nonzeros), and on
+    Python integers in an object array otherwise, for the whole batch.
     Raises RuntimeError on an odd trace, a non-exact division, a
     nonzero e_(h+1) (the trace form of Cayley-Hamilton) or a negative
     coefficient, because each can only mean a bug.
     """
     b, n, _ = s.shape
     h = n // 2
-    work = s.astype(np.int64 if _int64_recursion_safe(n) else object)
+    m = (int(np.count_nonzero(s, axis=(1, 2)).max(initial=0)) + 1) // 2
+    work = s.astype(np.int64 if _int64_recursion_safe(n, m) else object)
     powers = [-(work @ work)]
     for _ in range(h // 2):
         powers.append(powers[-1] @ powers[0])
-    e = [np.ones(b, dtype=work.dtype)]
-    p = []
+    traces = np.stack(
+        [powers[0].diagonal(axis1=1, axis2=2).sum(axis=1)]
+        + [
+            (powers[(k + 1) // 2 - 1] * powers[k // 2 - 1]).sum(axis=(1, 2))
+            for k in range(2, h + 2)
+        ],
+        axis=1,
+    )
+    odd = (traces % 2 != 0).any(axis=0)
+    if odd.any():
+        raise RuntimeError(f"odd trace of M^{int(odd.argmax()) + 1}; this is a bug")
+    # column i - 1 holds (-1)^(i-1) p_i
+    signed_p = traces // 2 * (1 - 2 * (np.arange(h + 1) % 2))
+    e = np.zeros((b, h + 2), dtype=work.dtype)
+    e[:, 0] = 1
     for k in range(1, h + 2):
-        if k == 1:
-            t = powers[0].diagonal(axis1=1, axis2=2).sum(axis=1)
-        else:
-            t = (powers[(k + 1) // 2 - 1] * powers[k // 2 - 1]).sum(axis=(1, 2))
-        if (t % 2 != 0).any():
-            raise RuntimeError(f"odd trace of M^{k}; this is a bug")
-        p.append(t // 2)
-        acc = sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k + 1))
+        acc = (e[:, k - 1 :: -1] * signed_p[:, :k]).sum(axis=1)
         if (acc % k != 0).any():
             raise RuntimeError(f"non-exact division at Newton step {k}; this is a bug")
-        e.append(acc // k)
-    if (e.pop() != 0).any():
+        e[:, k] = acc // k
+    if (e[:, h + 1] != 0).any():
         raise RuntimeError(f"e_{h + 1} is nonzero (Cayley-Hamilton fails); this is a bug")
-    out = np.stack(e, axis=1)
+    out = e[:, : h + 1]
     if (out < 0).any():
         raise RuntimeError("negative even coefficient; this is a bug")
     return out

@@ -194,31 +194,42 @@ def arc_on_even_cycle(g: OrientedGraph, arc: tuple[int, int]) -> bool:
 
 
 def _even_cycles_at(
-    adj: list[int], v: int, avail: int, max_len: int
-) -> list[tuple[tuple[int, ...], int]]:
+    adj: list[int], out: list[int], v: int, avail: int, max_len: int
+) -> list[tuple[int, int, int]]:
     """Simple cycles through v inside avail|{v}, of even length 4..max_len.
 
-    Each cycle comes once, with its vertex mask, as the vertex sequence
-    from v whose second vertex is below its last.  Chords in the ambient
-    graph are ignored.
+    Each cycle comes once, as (vertex mask, length, weight): the search
+    walks only the vertex sequences from v whose second vertex is below
+    their last, and carries along the path how many arcs run forward
+    (out[u] masks the heads of the arcs at tail u).  Adding the arcs
+    into and out of the closing vertex gives the cycle's parity, so the
+    weight is 2 when the cycle is oddly oriented and -2 when evenly.
+    Chords in the ambient graph are ignored.
     """
-    found: list[tuple[tuple[int, ...], int]] = []
-    path = [v]
+    found: list[tuple[int, int, int]] = []
+    back = adj[v]
 
-    def dfs(cur: int, used: int) -> None:
-        k = len(path)
+    def dfs(cur: int, used: int, k: int, above: int, along: int) -> None:
+        # k vertices on the path v .. cur; above masks the vertices above
+        # the second one; along arcs of the path run forward
         step = adj[cur] & avail & ~used
+        fwd = out[cur]
         if k >= 3 and k % 2:
-            # closing vertices: adjacent to v and above the second vertex
-            for w in _iter_bits(step & adj[v] & (-2 << path[1])):
-                found.append(((*path, w), used | 1 << v | 1 << w))
+            ends = step & back & above
+            while ends:
+                low = ends & -ends
+                ends ^= low
+                w = low.bit_length() - 1
+                odd = (along + (fwd >> w & 1) + (out[w] >> v & 1)) % 2
+                found.append((used | low, k + 1, 2 if odd else -2))
         if k + 2 <= max_len:  # the shortest cycle past w has k + 2 vertices
-            for w in _iter_bits(step):
-                path.append(w)
-                dfs(w, used | (1 << w))
-                path.pop()
+            while step:
+                low = step & -step
+                step ^= low
+                w = low.bit_length() - 1
+                dfs(w, used | low, k + 1, above if k > 1 else -2 << w, along + (fwd >> w & 1))
 
-    dfs(v, 0)
+    dfs(v, 1 << v, 1, 0, 0)
     return found
 
 
@@ -238,14 +249,19 @@ def coefficient_by_expansion(g: OrientedGraph, i: int) -> int:
     or an even cycle C through v of length at most need, which adds its
     weight times total(avail - C, need - |C|).  Weights multiply over
     components and the sub-sum depends on nothing but (avail, need), so
-    the recursion memoizes on that pair, per call.
+    the recursion memoizes on that pair, per call.  The adjacency and
+    out-neighbour masks are built once per call, and _even_cycles_at
+    hands each cycle over with its weight already read off its search
+    path.
     """
     if i % 2:
         raise ValueError(f"basic subgraphs have even order, got i={i}")
     if not (0 <= i <= g.n):
         raise ValueError(f"i must lie in [0, {g.n}], got {i}")
     adj = underlying(g).adjacency_masks()
-    arcs = g.arc_set
+    out = [0] * g.n
+    for t, h in g.arcs:
+        out[t] |= 1 << h
     memo: dict[tuple[int, int], int] = {}
 
     def total(avail: int, need: int) -> int:
@@ -257,15 +273,18 @@ def coefficient_by_expansion(g: OrientedGraph, i: int) -> int:
         cached = memo.get(key)
         if cached is not None:
             return cached
-        v = (avail & -avail).bit_length() - 1
-        rest = avail & ~(1 << v)
+        low = avail & -avail
+        v = low.bit_length() - 1
+        rest = avail ^ low
         s = total(rest, need)
-        for w in _iter_bits(adj[v] & rest):
-            s += total(rest & ~(1 << w), need - 2)
+        nbrs = adj[v] & rest
+        while nbrs:
+            bit = nbrs & -nbrs
+            nbrs ^= bit
+            s += total(rest ^ bit, need - 2)
         if need >= 4:
-            for seq, used in _even_cycles_at(adj, v, rest, need):
-                sign = 1 if _arcs_along(arcs, seq) % 2 else -1
-                s += 2 * sign * total(avail & ~used, need - len(seq))
+            for used, length, weight in _even_cycles_at(adj, out, v, rest, need):
+                s += weight * total(avail & ~used, need - length)
         memo[key] = s
         return s
 

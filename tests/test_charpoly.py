@@ -1,6 +1,7 @@
 """Exact characteristic polynomials, recurrences, and the quasi-order."""
 
 import random
+from math import comb
 
 import numpy as np
 import pytest
@@ -91,15 +92,17 @@ class TestCharpoly:
             assert charpoly(random_permuted(rng, g)).coeffs == charpoly(g).coeffs
 
     def test_larger_than_int64_window_still_exact(self):
-        # n above the int64 safety bound exercises the object-dtype path;
+        # (18, 71) is one arc past the int64 bound at n = 18, so charpoly
+        # takes the object-dtype path; (18, 40) stays in int64.  Both are
         # checked against the interpolation oracle, not just structurally
-        assert _int64_recursion_safe(8) and not _int64_recursion_safe(20)
+        assert _int64_recursion_safe(8, 28) and not _int64_recursion_safe(20, 48)
         rng = random.Random(3004)
-        g = random_connected_oriented(rng, 18, 40)
-        assert not _int64_recursion_safe(g.n)
-        p = charpoly(g)
-        full = charpoly_interpolated(skew_adjacency(g).tolist())
-        assert p.coeffs == tuple(full[k] for k in range(0, g.n + 1, 2))
+        for m, safe in [(71, False), (40, True)]:
+            g = random_connected_oriented(rng, 18, m)
+            assert _int64_recursion_safe(g.n, g.m) is safe
+            p = charpoly(g)
+            full = charpoly_interpolated(skew_adjacency(g).tolist())
+            assert p.coeffs == tuple(full[k] for k in range(0, g.n + 1, 2))
 
 
 class TestBatchedRecursion:
@@ -124,15 +127,34 @@ class TestBatchedRecursion:
             assert all(c == 0 for c in full[1::2])
             assert row.tolist() == full[::2]
 
-    @pytest.mark.parametrize("n", [15, 16])
+    # the largest arc count that runs in int64 on n vertices; at n = 15 it
+    # is every pair, C(15, 2) = 105
+    LARGEST_INT64_M = {15: 105, 16: 113, 18: 70, 20: 47}
+
+    @pytest.mark.parametrize("n", [15, 16, 18, 20])
     def test_int64_object_boundary(self, n):
-        # dense tournaments on either side of the int64 cutoff
-        assert _int64_recursion_safe(n) == (n <= 15)
+        # random graphs at the largest int64 arc count and one arc past it
+        top = self.LARGEST_INT64_M[n]
+        assert _int64_recursion_safe(n, top)
         rng = random.Random(3009 + n)
-        arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u in range(n) for v in range(u + 1, n)]
-        g = build(n, arcs)
-        full = charpoly_interpolated(skew_adjacency(g).tolist())
-        assert charpoly(g).coeffs == tuple(full[::2])
+        for m in range(top, min(top + 2, comb(n, 2) + 1)):
+            safe = m == top
+            assert _int64_recursion_safe(n, m) is safe
+            s = skew_adjacency(random_oriented(rng, n, m))
+            row = _even_coeffs_batch(s[None])
+            assert row.dtype == (np.int64 if safe else object)
+            assert row[0].tolist() == charpoly_interpolated(s.tolist())[::2]
+
+    def test_mixed_batch_takes_object_path(self):
+        # one sparse and one dense n = 16 matrix: the dense one decides
+        # the dtype for the whole batch, and neither row changes
+        rng = random.Random(3010)
+        sparse, dense = random_oriented(rng, 16, 20), random_oriented(rng, 16, 114)
+        assert _int64_recursion_safe(16, sparse.m) and not _int64_recursion_safe(16, dense.m)
+        block = _even_coeffs_batch(np.stack([skew_adjacency(sparse), skew_adjacency(dense)]))
+        assert block.dtype == object
+        assert tuple(block[0]) == charpoly(sparse).coeffs
+        assert tuple(block[1]) == charpoly(dense).coeffs
 
     @pytest.mark.parametrize(
         "corrupt,match",

@@ -12,6 +12,7 @@ from skewenergy.charpoly import (
     QuasiOrder,
     SkewCharPoly,
     _even_coeffs_batch,
+    _int64_recursion_safe,
     charpoly,
     quasi_compare,
 )
@@ -263,10 +264,15 @@ class TestSwitchingMultiplier:
         assert sum(census.values()) == 2**8
 
     def test_object_dtype_scan_in_small_chunks(self):
-        # n = 16 is past the int64 bound; 2^3 forest-fixed orientations in chunks of 3
-        edges = ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 3), (9, 15))
-        ug = UndirectedGraph(16, edges)
-        assert orientation_coefficient_census(ug, chunk=3) == _full_census(ug)
+        # 9 arcs leave int64 first at n = 38; 2^3 forest-fixed orientations
+        # in chunks of 3.  Isolated vertices only append zero coefficients,
+        # so the census equals that of the same arcs on 8 vertices, padded
+        assert _int64_recursion_safe(37, 9) and not _int64_recursion_safe(38, 9)
+        core = ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 3))
+        ug = UndirectedGraph(38, core + ((9, 37),))
+        small = _full_census(UndirectedGraph(8, core + ((6, 7),)))
+        padded = Counter({vec + (0,) * 15: count for vec, count in small.items()})
+        assert orientation_coefficient_census(ug, chunk=3) == padded
 
     def test_every_class_of_7_9(self):
         for ug in enumerate_connected_underlying(7, 9):

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -16,6 +17,7 @@ from skewenergy.graphs import (
 )
 from skewenergy.subgraphs import (
     CycleParity,
+    _even_cycles_at,
     a4_bound_check,
     arc_on_even_cycle,
     coefficient_by_expansion,
@@ -265,6 +267,42 @@ class TestCoefficientExpansion:
         for i in (-2, g.n + 2):
             with pytest.raises(ValueError, match="must lie in"):
                 coefficient_by_expansion(g, i)
+
+
+def _even_cycles_by_parity(g, v, avail, max_len):
+    """(mask, length, weight) of every even cycle through v inside avail|{v},
+    one traversal direction each, by brute force over vertex orders and
+    weighted by cycle_parity."""
+    adj = underlying(g).adjacency_masks()
+    others = [w for w in range(g.n) if avail >> w & 1]
+    found = Counter()
+    for length in range(4, max_len + 1, 2):
+        for rest in permutations(others, length - 1):
+            seq = (v, *rest)
+            if rest[0] < rest[-1] and all(adj[a] >> b & 1 for a, b in zip(seq, rest + (v,))):
+                odd = cycle_parity(g, seq) is CycleParity.ODDLY_ORIENTED
+                found[sum(1 << x for x in seq), length, 2 if odd else -2] += 1
+    return found
+
+
+class TestEvenCyclesAt:
+    def test_weights_match_cycle_parity(self):
+        # random orientations of K_6 and K_7, and the dense n = 8 case of
+        # test_dense_graphs (a K_8); every v with the vertices above it,
+        # as the expansion calls it, and v = 0 with a shorter length cap
+        rng = random.Random(2013)
+        graphs = [random_oriented(rng, n, comb(n, 2)) for n in (6, 7)]
+        graphs.append(random_oriented(random.Random(2012), 8, 28))
+        for g in graphs:
+            adj = underlying(g).adjacency_masks()
+            out = [0] * g.n
+            for t, h in g.arcs:
+                out[t] |= 1 << h
+            full = (1 << g.n) - 1
+            calls = [(v, full & (-2 << v), g.n) for v in range(g.n)] + [(0, full - 1, 4)]
+            for v, avail, max_len in calls:
+                cycles = _even_cycles_at(adj, out, v, avail, max_len)
+                assert Counter(cycles) == _even_cycles_by_parity(g, v, avail, max_len), (g, v)
 
 
 class TestA4Bound:
