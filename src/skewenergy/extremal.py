@@ -16,18 +16,22 @@ failed scan.
 Canonical labeling: the minimum adjacency bit-string over all vertex
 orders that list degrees in non-increasing sequence.  That restriction
 is label-independent, so the minimum is a complete isomorphism
-invariant, and it prunes the search to degree classes.  The final
-frontier of that search has one order per automorphism, so it also
-yields |Aut(G)|.
+invariant, and it prunes the search to degree classes.  One numpy
+search (_canonical_batch) runs it over a stack of graphs at once, and
+places only the lowest unplaced vertex of each twin class (equal open or
+equal closed neighbourhoods), since swapping twins is an automorphism.
+Its final frontier has one order per coset of the twin swaps in
+Aut(G), so |Aut(G)| = frontier size x prod |twin class|!.
 
 Class enumeration is one memoized recursion.  Trees grow from the trees
 on one vertex fewer by a pendant vertex.  Every other (n, m) class grows
-from the (n, m-1) classes by one edge, and a child is canonicalized only
-when its new edge has the largest invariant (max degree, min degree,
-common neighbours) among the child's cycle edges: the canonical-deletion
-filter of McKay's canonical augmentation ("Isomorph-free exhaustive
-generation", J. Algorithms 26, 1998), which loses no class because
-deleting such an edge from any class leaves a connected (n, m-1) class.
+from the (n, m-1) classes by one edge, and a child is canonicalized,
+with others in one batch, only when its new edge has the largest
+invariant (max degree, min degree, common neighbours) among the child's
+cycle edges: the canonical-deletion filter of McKay's canonical
+augmentation ("Isomorph-free exhaustive generation", J. Algorithms 26,
+1998), which loses no class because deleting such an edge from any
+class leaves a connected (n, m-1) class.
 Completeness is checked at run time: over the classes, sum n!/|Aut| must
 equal the labelled connected count, or enumeration raises RuntimeError.
 Exhaustive by construction, hence the default cap at n = 8.
@@ -63,54 +67,89 @@ __all__ = [
 DEFAULT_MAX_N = 8
 _ORIENTATION_GUARD = 30  # a census stands for 2^m orientations
 _CENSUS_CHUNK = 4096
+_CANON_CHUNK = 256  # children per _canonical_batch call; larger ones raise peak RSS
 
 
 # ---------------------------------------------------------------------------
 # canonical labeling and isomorphism-free enumeration
 # ---------------------------------------------------------------------------
 
-def _canonical(adj: list[int]) -> tuple[tuple[int, ...], int]:
-    """(key, |Aut|) of the graph with adjacency masks adj, under the
-    degree-sorted minimum bit-string order.
+def _canonical_batch(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, |Aut|) of a stack of graphs under the degree-sorted minimum
+    bit-string order.
 
-    Works breadth-first over partial vertex orders: at each depth keep
-    every placement that attains the minimal next adjacency row, so all
-    survivors share one row prefix and any completed order realizes the
-    canonical key.  The final frontier holds every order that does, one
-    per automorphism, so its size is |Aut(G)|.  Row d of the key has bit
-    d-1-i set exactly when the vertices placed at i and d are adjacent,
-    so the key is the canonically labeled graph itself (_class_graph).
+    adj is a (B, n) int64 array, row b holding graph b's adjacency masks;
+    the masks must fit an int64, so n <= 62.  Returns the (B, n) int64
+    keys and the (B,) exact |Aut| (object dtype, Python ints).  Row d of
+    a key has bit d-1-i set exactly when the vertices placed at i and d
+    are adjacent, so the key is the canonically labeled graph itself
+    (_class_graph).
+
+    Works breadth-first over partial vertex orders of every graph at
+    once: at each depth keep every placement, of a vertex of the next
+    degree in non-increasing order, that attains its graph's minimal
+    next adjacency row, so all of a graph's survivors share one row
+    prefix and any completed order realizes the canonical key.  The
+    frontier is three arrays: the graph each entry belongs to (sorted),
+    the mask of placed vertices, and each unplaced vertex's row against
+    the placed prefix, the vertex placed at depth d contributing bit
+    n-1-d to the rows of its neighbours.
+
+    Twins, vertices with equal open or equal closed neighbourhoods, are
+    interchangeable: swapping two is an automorphism, and they have the
+    same row against any prefix that places neither.  So only the lowest
+    unplaced member of each twin class is placed, which keeps every
+    minimum, and the final frontier holds one order per coset of the
+    twin swaps in Aut(G): |Aut| = frontier size x prod |twin class|!.
     """
-    n = len(adj)
-    deg = [a.bit_count() for a in adj]
-    frontier: list[tuple[tuple[int, ...], int]] = [((), 0)]
-    rows: list[int] = []
-    for want in sorted(deg, reverse=True):
-        best_row = None
-        extensions: list[tuple[tuple[int, ...], int]] = []
-        for placed, used in frontier:
-            for v in range(n):
-                if used >> v & 1 or deg[v] != want:
-                    continue
-                row = 0
-                for p in placed:
-                    row = (row << 1) | (adj[v] >> p & 1)
-                if best_row is None or row < best_row:
-                    best_row = row
-                    extensions = [(placed + (v,), used | 1 << v)]
-                elif row == best_row:
-                    extensions.append((placed + (v,), used | 1 << v))
-        rows.append(best_row)
-        frontier = extensions
-    return tuple(rows), len(frontier)
+    count, n = adj.shape
+    if n > 62:
+        raise ValueError(f"the batched canonical search needs n <= 62, got n = {n}")
+    verts = np.arange(n, dtype=np.int64)
+    bit = np.int64(1) << verts
+    cube = (adj[:, :, None] >> verts) & 1  # cube[b, v, x]: v ~ x in graph b
+    deg = cube.sum(axis=2)
+    wants = -np.sort(-deg, axis=1)
+    closed = adj | bit
+    lower = (  # lower[b, v, u]: u < v, and u and v are twins
+        (adj[:, :, None] == adj[:, None, :]) | (closed[:, :, None] == closed[:, None, :])
+    ) & (verts[:, None] > verts)
+    lower_twins = (lower * bit).sum(axis=2)
+    # prod over vertices of (1 + lower twins) is prod over classes of |class|!
+    twin_swaps = np.prod((lower.sum(axis=2) + 1).astype(object), axis=1)
+
+    keys = np.empty((count, n), dtype=np.int64)
+    barred = np.iinfo(np.int64).max  # the row of a non-candidate: above every row
+    owner = np.arange(count)
+    starts = owner
+    used = np.zeros(count, dtype=np.int64)
+    rows = np.zeros((count, n), dtype=np.int64)
+    for d in range(n):
+        cand = (
+            ((used[:, None] & bit) == 0)
+            & (deg == wants[:, d, None])[owner]
+            & ((lower_twins[owner] & ~used[:, None]) == 0)
+        )
+        row = np.where(cand, rows, barred)
+        best = np.minimum.reduceat(row.min(axis=1), starts)
+        keys[:, d] = best >> (n - d)
+        e, v = np.nonzero(row == best[owner, None])
+        owner = owner[e]
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        used = used[e] | bit[v]
+        rows = rows[e] | (cube[owner, v] << (n - 1 - d))
+    return keys, np.bincount(owner, minlength=count).astype(object) * twin_swaps
 
 
 def _class_graph(n: int, key: tuple[int, ...]) -> UndirectedGraph:
-    """The canonically labeled graph a _canonical key describes."""
-    edges = tuple(
-        (i, d) for d, row in enumerate(key) for i in range(d) if row >> (d - 1 - i) & 1
-    )
-    return UndirectedGraph(n, edges)
+    """The canonically labeled graph a _canonical_batch key describes."""
+    edges = []
+    for d, row in enumerate(key):
+        while row:  # bit d-1-i of row d is the edge (i, d)
+            low = row & -row
+            edges.append((d - low.bit_length(), d))
+            row ^= low
+    return UndirectedGraph(n, tuple(edges))
 
 
 @lru_cache(maxsize=None)
@@ -168,12 +207,6 @@ def _on_cycle(adj: list[int], x: int, y: int) -> bool:
     return False
 
 
-def _edge_invariant(adj: list[int], x: int, y: int) -> tuple[int, int, int]:
-    """(max degree, min degree, common neighbours) of the edge xy."""
-    dx, dy = adj[x].bit_count(), adj[y].bit_count()
-    return max(dx, dy), min(dx, dy), (adj[x] & adj[y]).bit_count()
-
-
 @lru_cache(maxsize=None)
 def _connected_classes(n: int, m: int) -> tuple[UndirectedGraph, ...]:
     """Connected classes with n vertices and m edges, canonically labeled.
@@ -191,18 +224,38 @@ def _connected_classes(n: int, m: int) -> tuple[UndirectedGraph, ...]:
     ("Isomorph-free exhaustive generation", J. Algorithms 26, 1998),
     which drops most children before their canonical form is built.
 
-    Children are deduplicated by canonical key, and only then is each
-    key decoded into its graph (_class_graph), in key order, so the
-    output does not depend on which child reached a class first.  Before
-    returning, the classes must satisfy sum n!/|Aut| = labelled
-    connected count.  The cache holds each class's graph once, and
-    enumerate_connected_underlying hands out those same objects.
+    Each invariant is packed into one int, its fields n.bit_length()
+    bits wide, and the child's follow from the parent's: adding uv raises
+    the degrees of u and v by one and gives a parent edge (u, w) one more
+    common neighbour exactly when w ~ v (likewise at v); every other edge
+    keeps its parent invariant.
+
+    Children that pass wait in a pending list, canonicalized together by
+    _canonical_batch whenever _CANON_CHUNK of them have gathered and once
+    more for the rest.  Children are deduplicated by canonical key, and
+    only then is each key decoded into its graph (_class_graph), in key
+    order, so the output does not depend on which child reached a class
+    first.  Before returning, the classes must satisfy sum n!/|Aut| =
+    labelled connected count.  The cache holds each class's graph once,
+    and enumerate_connected_underlying hands out those same objects.
     """
     if m < n - 1 or m > comb(n, 2):
         return ()
     if n == 1:
         return (UndirectedGraph(1, ()),)
     found: dict[tuple[int, ...], int] = {}
+    pending: list[list[int]] = []
+
+    def flush() -> None:
+        keys, auts = _canonical_batch(np.array(pending, dtype=np.int64))
+        found.update(zip(map(tuple, keys.tolist()), auts.tolist()))
+        pending.clear()
+
+    def offer(adj: list[int]) -> None:
+        pending.append(adj.copy())
+        if len(pending) >= _CANON_CHUNK:
+            flush()
+
     if m == n - 1:
         leaf = n - 1
         for tree in _connected_classes(n - 1, m - 1):
@@ -210,33 +263,41 @@ def _connected_classes(n: int, m: int) -> tuple[UndirectedGraph, ...]:
             for v in range(leaf):
                 adj[v] |= 1 << leaf
                 adj[leaf] = 1 << v
-                key, aut = _canonical(adj)
-                found.setdefault(key, aut)
+                offer(adj)
                 adj[v] ^= 1 << leaf
     else:
+        width = n.bit_length()
+
+        def invariant(dx: int, dy: int, common: int) -> int:
+            if dx < dy:
+                dx, dy = dy, dx
+            return (dx << width | dy) << width | common
+
         for parent in _connected_classes(n, m - 1):
             adj = parent.adjacency_masks()
+            deg = [a.bit_count() for a in adj]
             # adding uv keeps every cycle edge of the parent on a cycle and
             # changes the invariant only of the edges at u or v, never
             # lowering it; so the edges whose parent invariant beats uv's
             # form a prefix of this ranking, and only the edges at u or v
-            # outside that prefix need their invariant recomputed
-            ranked = sorted(
-                ((_edge_invariant(adj, x, y), x, y, _on_cycle(adj, x, y))
-                 for x, y in parent.edges),
-                reverse=True,
-            )
+            # outside that prefix need their child invariant
+            ranked = []
+            # at[x]: the edges at x, each with its other end and common count
             at: list[list] = [[] for _ in range(n)]
-            for e in ranked:
-                at[e[1]].append(e)
-                at[e[2]].append(e)
+            for x, y in parent.edges:
+                common = (adj[x] & adj[y]).bit_count()
+                e = (invariant(deg[x], deg[y], common), x, y, _on_cycle(adj, x, y))
+                ranked.append(e)
+                at[x].append((*e, y, common))
+                at[y].append((*e, x, common))
+            ranked.sort(reverse=True)
             for u in range(n):
                 for v in range(u + 1, n):
                     if adj[u] >> v & 1:
                         continue
+                    mine = invariant(deg[u] + 1, deg[v] + 1, (adj[u] & adj[v]).bit_count())
                     adj[u] |= 1 << v
                     adj[v] |= 1 << u
-                    mine = _edge_invariant(adj, u, v)
                     beaten = False
                     for inv, x, y, cyc in ranked:
                         if inv <= mine:
@@ -247,16 +308,17 @@ def _connected_classes(n: int, m: int) -> tuple[UndirectedGraph, ...]:
                     if not beaten:
                         beaten = any(
                             inv <= mine
-                            and _edge_invariant(adj, x, y) > mine
+                            and invariant(deg[a] + 1, deg[w], common + (adj[w] >> b & 1)) > mine
                             and (cyc or _on_cycle(adj, x, y))
-                            for w in (u, v)
-                            for inv, x, y, cyc in at[w]
+                            for a, b in ((u, v), (v, u))
+                            for inv, x, y, cyc, w, common in at[a]
                         )
                     if not beaten:
-                        key, aut = _canonical(adj)
-                        found.setdefault(key, aut)
+                        offer(adj)
                     adj[u] ^= 1 << v
                     adj[v] ^= 1 << u
+    if pending:
+        flush()
     _check_complete(n, m, found.values())
     return tuple(_class_graph(n, key) for key in sorted(found))
 

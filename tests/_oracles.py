@@ -5,11 +5,10 @@ through Bareiss elimination and Lagrange interpolation or the
 Faddeev-LeVerrier recursion, orientation censuses through the full
 2^m stream, matchings and quadrangles through raw subset scans,
 isomorphism through networkx's VF2, and the subgraph expansion through
-a list of every basic subgraph.  Two exceptions share production code:
-the unfiltered class augmentation shares the canonical form with the
-enumerator it checks, and the full-census certificate shares the
-per-class census and the verdict with the a_4 transform it checks.
-Slow and simple on purpose.
+a list of every basic subgraph, and canonical forms through a scalar
+search over vertex orders.  One exception shares production code: the
+full-census certificate shares the per-class census and the verdict with
+the a_4 transform it checks.  Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ import numpy as np
 from skewenergy.charpoly import charpoly
 from skewenergy.extremal import (
     MinimalityCertificate,
-    _canonical,
-    _class_graph,
     _decide,
     enumerate_connected_underlying,
     orientation_coefficient_census,
@@ -253,15 +250,58 @@ def nx_automorphism_count(ug: UndirectedGraph) -> int:
     return sum(1 for _ in matcher.isomorphisms_iter())
 
 
+def canonical_scalar(adj: list[int]) -> tuple[tuple[int, ...], int]:
+    """(key, |Aut|) of the graph with adjacency masks adj, under the
+    degree-sorted minimum bit-string order, one graph at a time.
+
+    Works breadth-first over partial vertex orders: at each depth keep
+    every placement that attains the minimal next adjacency row, so all
+    survivors share one row prefix and any completed order realizes the
+    canonical key.  The final frontier holds every order that does, one
+    per automorphism, so its size is |Aut(G)|.  Row d of the key has bit
+    d-1-i set exactly when the vertices placed at i and d are adjacent.
+    The reference for ``extremal._canonical_batch``, which prunes twins.
+    """
+    n = len(adj)
+    deg = [a.bit_count() for a in adj]
+    frontier: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    rows: list[int] = []
+    for want in sorted(deg, reverse=True):
+        best_row = None
+        extensions: list[tuple[tuple[int, ...], int]] = []
+        for placed, used in frontier:
+            for v in range(n):
+                if used >> v & 1 or deg[v] != want:
+                    continue
+                row = 0
+                for p in placed:
+                    row = (row << 1) | (adj[v] >> p & 1)
+                if best_row is None or row < best_row:
+                    best_row = row
+                    extensions = [(placed + (v,), used | 1 << v)]
+                elif row == best_row:
+                    extensions.append((placed + (v,), used | 1 << v))
+        rows.append(best_row)
+        frontier = extensions
+    return tuple(rows), len(frontier)
+
+
+def key_edges(key: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The sorted edges (i, d) of the graph a canonical key describes."""
+    return tuple(sorted(
+        (i, d) for d, row in enumerate(key) for i in range(d) if row >> (d - 1 - i) & 1
+    ))
+
+
 @lru_cache(maxsize=None)
 def augment_every_non_edge(n: int, m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Connected (n, m) classes from every one-edge augmentation, unfiltered.
 
     The reference for the canonical-deletion filter in
-    ``extremal._connected_classes``: the same canonical form and the same
-    order of the result, but every non-edge of every (n, m-1) class, and
-    every pendant vertex of every tree on n-1 vertices, is added and
-    canonicalized.
+    ``extremal._connected_classes``: the same canonical form, from the
+    scalar search, and the same order of the result, but every non-edge
+    of every (n, m-1) class, and every pendant vertex of every tree on
+    n-1 vertices, is added and canonicalized.
     """
     if m < n - 1 or m > comb(n, 2):
         return ()
@@ -281,8 +321,39 @@ def augment_every_non_edge(n: int, m: int) -> tuple[tuple[tuple[int, int], ...],
             for v in range(u + 1, n)
             if (u, v) not in edges
         ]
-    keys = {_canonical(UndirectedGraph(n, edges).adjacency_masks())[0] for edges in children}
-    return tuple(_class_graph(n, key).edges for key in sorted(keys))
+    keys = {canonical_scalar(UndirectedGraph(n, edges).adjacency_masks())[0] for edges in children}
+    return tuple(key_edges(key) for key in sorted(keys))
+
+
+def deletion_filter_survivors(n: int, parents) -> int:
+    """How many one-edge children P + uv of the given (n, m-1) edge lists
+    have no cycle edge whose invariant (max degree, min degree, common
+    neighbours) beats uv's: the children the canonical-deletion filter in
+    ``extremal._connected_classes`` must canonicalize.  Every invariant is
+    recomputed on the child, and cycle edges are the non-bridges.
+    """
+    import networkx as nx
+
+    survivors = 0
+    for edges in parents:
+        for u in range(n):
+            for v in range(u + 1, n):
+                if (u, v) in edges:
+                    continue
+                g = nx_graph(UndirectedGraph(n, edges + ((u, v),)))
+                bridges = {frozenset(e) for e in nx.bridges(g)}
+
+                def invariant(x, y):
+                    dx, dy = g.degree(x), g.degree(y)
+                    return max(dx, dy), min(dx, dy), len(set(g[x]) & set(g[y]))
+
+                mine = invariant(u, v)
+                survivors += not any(
+                    invariant(x, y) > mine
+                    for x, y in g.edges
+                    if frozenset((x, y)) not in bridges
+                )
+    return survivors
 
 
 def census_certificate(n: int, m: int, predicted: str) -> MinimalityCertificate:

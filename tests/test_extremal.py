@@ -20,7 +20,7 @@ from skewenergy import extremal
 from skewenergy.cli import main
 from skewenergy.extremal import (
     _a4_spectra,
-    _canonical,
+    _canonical_batch,
     _check_complete,
     _class_graph,
     _connected_classes,
@@ -50,7 +50,9 @@ from skewenergy.subgraphs import CycleParity, cycle_parity
 
 from _oracles import (
     augment_every_non_edge,
+    canonical_scalar,
     census_certificate,
+    deletion_filter_survivors,
     enumerate_orientations,
     nx_automorphism_count,
     nx_connected_class_count,
@@ -61,40 +63,122 @@ THEOREM_PAIRS = [(5, 5), (6, 6), (6, 7), (7, 7), (7, 8), (7, 9)]
 WINDOWS_TO_8 = [(n, m) for n in range(5, 9) for m in range(n, 2 * (n - 2))]
 
 
-class TestCanonical:
-    def test_relabeling_gives_same_key(self):
-        rng = random.Random(5001)
-        for _ in range(40):
-            n = rng.randint(2, 7)
-            pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
-            edges = tuple(rng.sample(pool, rng.randint(1, len(pool))))
-            key, aut = _canonical(UndirectedGraph(n, edges).adjacency_masks())
-            perm = list(range(n))
-            rng.shuffle(perm)
-            shuffled = tuple(
-                tuple(sorted((perm[u], perm[v]))) for u, v in edges
-            )
-            key2, aut2 = _canonical(UndirectedGraph(n, shuffled).adjacency_masks())
-            assert key == key2 and aut == aut2
-            assert _class_graph(n, key).m == len(edges)
+def _batch(graphs):
+    """_canonical_batch of graphs on one n, as (key, |Aut|) pairs."""
+    keys, auts = _canonical_batch(
+        np.array([g.adjacency_masks() for g in graphs], dtype=np.int64)
+    )
+    return list(zip(map(tuple, keys.tolist()), auts.tolist()))
 
+
+def _relabeled(ug, rng):
+    perm = list(range(ug.n))
+    rng.shuffle(perm)
+    return UndirectedGraph(ug.n, tuple((perm[u], perm[v]) for u, v in ug.edges))
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return UndirectedGraph(10, tuple(outer + inner + [(i, i + 5) for i in range(5)]))
+
+
+def _star(n):
+    return UndirectedGraph(n, tuple((0, i) for i in range(1, n)))
+
+
+def _complete_bipartite(a, b):
+    return UndirectedGraph(a + b, tuple((i, j) for i in range(a) for j in range(a, a + b)))
+
+
+def _complete(n):
+    return UndirectedGraph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
+
+
+def _cycle(n):
+    return UndirectedGraph(n, tuple((i, (i + 1) % n) for i in range(n)))
+
+
+SYMMETRIC = [  # (name, graph, |Aut|); 21! and 62! pass int64, and stay exact
+    ("star6", _star(6), 120),
+    ("star62", _star(62), factorial(61)),
+    ("K3,4", _complete_bipartite(3, 4), 144),
+    ("K4,4", _complete_bipartite(4, 4), 1152),
+    ("K2,9", _complete_bipartite(2, 9), 2 * factorial(9)),
+    ("K6", _complete(6), 720),
+    ("K21", _complete(21), factorial(21)),
+    ("K62", _complete(62), factorial(62)),
+    ("C4", _cycle(4), 8),
+    ("C7", _cycle(7), 14),
+    ("C12", _cycle(12), 24),
+    ("petersen", _petersen(), 120),  # vertex-transitive, no twins
+]
+
+
+class TestCanonical:
     def test_canonical_labels_are_fixed_points(self):
-        # every class with n <= 7: its key decodes to the class itself,
-        # and the decoded graph re-canonicalizes to the same key and |Aut|
+        # each class and a random relabelling of it get the same key and
+        # |Aut| as the scalar search gives the relabelled graph, and the key
+        # decodes to the class itself
+        rng = random.Random(5001)
         for n in range(1, 8):
             for m in range(n - 1, comb(n, 2) + 1):
-                for ug in _connected_classes(n, m):
-                    key, aut = _canonical(ug.adjacency_masks())
-                    again = _class_graph(n, key)
-                    assert again.edges == ug.edges
-                    assert _canonical(again.adjacency_masks()) == (key, aut)
+                classes = _connected_classes(n, m)
+                shuffled = [_relabeled(ug, rng) for ug in classes]
+                got = _batch(list(classes) + shuffled)
+                for ug, g, (key, aut), again in zip(classes, shuffled, got, got[len(classes):]):
+                    assert again == (key, aut) == canonical_scalar(g.adjacency_masks())
+                    assert _class_graph(n, key).edges == ug.edges
+
+    def test_relabeling_gives_same_key(self):
+        # random graphs with n <= 10 and a random relabelling of each get
+        # the scalar search's key and |Aut|; mid densities only, since
+        # near-empty and near-complete graphs at n = 10 hold up to 10!
+        # scalar frontier entries (K_n and stars are cases below)
+        rng = random.Random(5002)
+        for n in range(2, 11):
+            pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            graphs = [
+                UndirectedGraph(n, tuple(rng.sample(pool, rng.randint(
+                    max(1, len(pool) // 4), max(1, 3 * len(pool) // 4)
+                ))))
+                for _ in range(40)
+            ]
+            want = [canonical_scalar(g.adjacency_masks()) for g in graphs]
+            assert _batch(graphs + [_relabeled(g, rng) for g in graphs]) == want + want
+
+    @pytest.mark.parametrize("name,ug,aut", SYMMETRIC, ids=[c[0] for c in SYMMETRIC])
+    def test_twin_heavy_and_symmetric_graphs(self, name, ug, aut):
+        rng = random.Random(5004)
+        (key, got), (key2, got2) = _batch([ug, _relabeled(ug, rng)])
+        assert got == got2 == aut and key == key2
+        assert _batch([_class_graph(ug.n, key)]) == [(key, aut)]
+        if aut <= 5040:
+            assert (key, got) == canonical_scalar(ug.adjacency_masks())
+
+    def test_more_than_62_vertices_is_refused(self):
+        with pytest.raises(ValueError, match="n <= 62"):
+            _canonical_batch(np.zeros((1, 63), dtype=np.int64))
 
     def test_frontier_size_is_automorphism_count(self):
-        for n in range(2, 7):
+        # final frontier x prod |twin class|! against VF2, every class n <= 7
+        for n in range(2, 8):
             for m in range(n - 1, comb(n, 2) + 1):
-                for ug in enumerate_connected_underlying(n, m):
-                    aut = _canonical(ug.adjacency_masks())[1]
-                    assert aut == nx_automorphism_count(ug), ug.edges
+                classes = _connected_classes(n, m)
+                assert [aut for _, aut in _batch(classes)] == [
+                    nx_automorphism_count(ug) for ug in classes
+                ], (n, m)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunk_boundaries_leave_the_classes_unchanged(self, monkeypatch, chunk):
+        want = {m: _connected_classes(7, m) for m in range(6, 22)}
+        _connected_classes.cache_clear()
+        monkeypatch.setattr(extremal, "_CANON_CHUNK", chunk)
+        try:
+            for m in range(6, 22):
+                assert _connected_classes(7, m) == want[m], m
+        finally:
+            _connected_classes.cache_clear()
 
 
 class TestClassEnumeration:
@@ -127,7 +211,7 @@ class TestClassEnumeration:
             total += factorial(n) // nx_automorphism_count(ug)
         assert total == labelled_connected_count(n, m)
 
-    @pytest.mark.parametrize("n,top", [(n, comb(n, 2)) for n in range(1, 8)] + [(8, 11)])
+    @pytest.mark.parametrize("n,top", [(n, comb(n, 2)) for n in range(1, 8)] + [(8, 11), (9, 10)])
     def test_filter_matches_unfiltered_augmentation(self, n, top):
         for m in range(n - 1, top + 1):
             ours = tuple(g.edges for g in _connected_classes(n, m))
@@ -148,25 +232,49 @@ class TestClassEnumeration:
 
     def test_filter_skips_most_canonical_forms(self, monkeypatch):
         # unfiltered, the (8, 8..11) window takes 15,637 canonical forms
-        calls = 0
-        real = extremal._canonical
+        rows = 0
+        real = extremal._canonical_batch
 
         def counted(adj):
-            nonlocal calls
-            calls += 1
+            nonlocal rows
+            rows += len(adj)
             return real(adj)
 
-        monkeypatch.setattr(extremal, "_canonical", counted)
+        monkeypatch.setattr(extremal, "_canonical_batch", counted)
         _connected_classes.cache_clear()
         try:
             for m in range(8, 12):
                 _connected_classes(8, m)
         finally:
             _connected_classes.cache_clear()
-        assert 0 < calls < 4000
+        assert 0 < rows < 4000
+
+    @pytest.mark.parametrize("n,top", [(6, 15), (7, 21), (8, 10)])
+    def test_filter_passes_exactly_the_children_it_defines(self, monkeypatch, n, top):
+        # the sorted prefix and the derived child invariants must pass the
+        # same children as recomputing every invariant on each child
+        rows = 0
+        real = extremal._canonical_batch
+
+        def counted(adj):
+            nonlocal rows
+            rows += len(adj)
+            return real(adj)
+
+        _connected_classes.cache_clear()
+        try:
+            _connected_classes(n, n - 1)
+            monkeypatch.setattr(extremal, "_canonical_batch", counted)
+            for m in range(n, top + 1):
+                before = rows
+                _connected_classes(n, m)
+                want = deletion_filter_survivors(n, augment_every_non_edge(n, m - 1))
+                assert rows - before == want, m
+        finally:
+            _connected_classes.cache_clear()
 
     def test_completeness_check_trips_on_a_dropped_or_duplicated_class(self):
-        auts = [_canonical(ug.adjacency_masks())[1] for ug in enumerate_connected_underlying(6, 7)]
+        auts = [aut for _, aut in _batch(enumerate_connected_underlying(6, 7))]
         _check_complete(6, 7, auts)
         for i in range(len(auts)):
             with pytest.raises(RuntimeError, match="class enumeration"):
