@@ -1,17 +1,20 @@
 """Exhaustive desk-scale search for minimum-skew-energy oriented graphs.
 
-Pipeline: enumerate connected underlying graphs up to isomorphism,
-take a_4 of every orientation of every class (one per switching class,
-weighted by the class size) from one Walsh-Hadamard transform over the
-classes' 4-cycles, compute exact coefficient vectors only for the
-orientations whose a_4 is at most the predicted construction's, and
-compare those against it.  Both hub constructions have rank S <= 4, so
-the target is (1, m, a_4, 0, ..., 0), and a vector with a larger a_4 is
-strictly above it: skipping it changes no verdict and no minimizer.
-Energy increases in every coefficient, so the quasi-order on exact
-coefficient vectors decides the verdict, with the 60-digit energy
-integral for incomparable vectors; floats only name the minimizer of a
-failed scan.
+Pipeline: enumerate the connected underlying graphs up to isomorphism,
+as one int64 array of canonical keys per (n, m); read every class's
+degrees, M(G,2) and q(G) off the adjacency cube those keys describe;
+census only the classes whose bound M(G,2) - 2q(G) on a_4 is at most
+the predicted construction's a_4, keeping the vectors whose a_4 is too;
+and compare those against it.  Every 4-cycle weighs +-2 in a_4 (Hou and
+Lei, Electron. J. Combin. 18, 2011), so every orientation of G has
+a_4 >= M(G,2) - 2q(G), the quartic bound of the paper's proof.  Both
+hub constructions have rank S <= 4, so the target is
+(1, m, a_4, 0, ..., 0), and a vector with a larger a_4 is strictly above
+it: skipping it, or a class all of whose vectors are such, changes no
+verdict and no minimizer.  Energy increases in every coefficient, so
+the quasi-order on exact coefficient vectors decides the verdict, with
+the 60-digit energy integral for incomparable vectors; floats only name
+the minimizer of a failed scan.
 
 Canonical labeling: the minimum adjacency bit-string over all vertex
 orders that list degrees in non-increasing sequence.  That restriction
@@ -23,17 +26,20 @@ equal closed neighbourhoods), since swapping twins is an automorphism.
 Its final frontier has one order per coset of the twin swaps in
 Aut(G), so |Aut(G)| = frontier size x prod |twin class|!.
 
-Class enumeration is one memoized recursion.  Trees grow from the trees
-on one vertex fewer by a pendant vertex.  Every other (n, m) class grows
-from the (n, m-1) classes by one edge, and a child is canonicalized,
-with others in one batch, only when its new edge has the largest
-invariant (max degree, min degree, common neighbours) among the child's
-cycle edges: the canonical-deletion filter of McKay's canonical
-augmentation ("Isomorph-free exhaustive generation", J. Algorithms 26,
-1998), which loses no class because deleting such an edge from any
-class leaves a connected (n, m-1) class.
+Class enumeration is one memoized recursion over key arrays.  Trees
+grow from the trees on one vertex fewer by a pendant vertex.  Every
+other (n, m) class grows from the (n, m-1) classes by one edge, and a
+child is canonicalized, with others in one batch, only when its new
+edge has the largest invariant (max degree, min degree, common
+neighbours) among the child's cycle edges: the canonical-deletion
+filter of McKay's canonical augmentation ("Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998), which loses no class because
+deleting such an edge from any class leaves a connected (n, m-1) class.
+The filter runs in numpy over (parent, non-edge, edge) arrays.
 Completeness is checked at run time: over the classes, sum n!/|Aut| must
 equal the labelled connected count, or enumeration raises RuntimeError.
+Keys are decoded into graphs only for enumerate_connected_underlying's
+callers and for the few classes a scan reports or censuses.
 Exhaustive by construction, hence the default cap at n = 8.
 """
 
@@ -42,6 +48,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import comb, factorial
 
 import numpy as np
@@ -49,7 +56,9 @@ import numpy as np
 from .charpoly import QuasiOrder, SkewCharPoly, _even_coeffs_batch, charpoly, quasi_compare
 from .energy import energy_from_even_coeffs, energy_from_even_coeffs_precise
 from .graphs import UndirectedGraph, construct_b_plus, construct_o_plus
-from .subgraphs import _two_matching_count, count_quadrangles, quadrangles
+# count_quadrangles is a public name here too (perfbench/spans.py wraps it),
+# though the scans count 4-cycles from the adjacency cube (_class_counts)
+from .subgraphs import count_quadrangles  # noqa: F401
 
 __all__ = [
     "enumerate_connected_underlying",
@@ -68,6 +77,7 @@ DEFAULT_MAX_N = 8
 _ORIENTATION_GUARD = 30  # a census stands for 2^m orientations
 _CENSUS_CHUNK = 4096
 _CANON_CHUNK = 256  # children per _canonical_batch call; larger ones raise peak RSS
+_CUBE_CHUNK = 128  # parents per filter step, or classes per count; bounds peak RSS
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +93,7 @@ def _canonical_batch(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keys and the (B,) exact |Aut| (object dtype, Python ints).  Row d of
     a key has bit d-1-i set exactly when the vertices placed at i and d
     are adjacent, so the key is the canonically labeled graph itself
-    (_class_graph).
+    (_cube, _class_graphs).
 
     Works breadth-first over partial vertex orders of every graph at
     once: at each depth keep every placement, of a vertex of the next
@@ -141,15 +151,39 @@ def _canonical_batch(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys, np.bincount(owner, minlength=count).astype(object) * twin_swaps
 
 
-def _class_graph(n: int, key: tuple[int, ...]) -> UndirectedGraph:
-    """The canonically labeled graph a _canonical_batch key describes."""
-    edges = []
-    for d, row in enumerate(key):
-        while row:  # bit d-1-i of row d is the edge (i, d)
-            low = row & -row
-            edges.append((d - low.bit_length(), d))
-            row ^= low
-    return UndirectedGraph(n, tuple(edges))
+def _cube(keys: np.ndarray) -> np.ndarray:
+    """(K, n, n) boolean adjacency of the graphs a (K, n) key array describes.
+
+    Bit d-1-i of row d of a key is the edge (i, d), as _canonical_batch
+    writes it.
+    """
+    verts = np.arange(keys.shape[1], dtype=np.int64)
+    shift = verts[:, None] - 1 - verts  # [d, i] = d-1-i, negative where i >= d
+    lower = ((keys[:, :, None] >> np.maximum(shift, 0)) & 1).astype(bool) & (shift >= 0)
+    return lower | lower.transpose(0, 2, 1)
+
+
+def _masks(cube: np.ndarray) -> np.ndarray:
+    """(K, n) int64 adjacency masks of an adjacency cube."""
+    return (cube * (np.int64(1) << np.arange(cube.shape[1], dtype=np.int64))).sum(axis=2)
+
+
+def _common(cube: np.ndarray) -> np.ndarray:
+    """(K, n, n) common-neighbour counts A.A, degrees on the diagonal."""
+    a = cube.astype(np.int64)
+    return a @ a
+
+
+def _class_graphs(keys: np.ndarray) -> list[UndirectedGraph]:
+    """The canonically labeled graphs a (K, n) key array describes."""
+    n = keys.shape[1]
+    iu, ju = np.triu_indices(n, 1)
+    pairs = list(zip(iu.tolist(), ju.tolist()))
+    graphs = []
+    for start in range(0, len(keys), _CUBE_CHUNK):
+        for row in _cube(keys[start:start + _CUBE_CHUNK])[:, iu, ju].tolist():
+            graphs.append(UndirectedGraph(n, tuple(compress(pairs, row))))
+    return graphs
 
 
 @lru_cache(maxsize=None)
@@ -190,26 +224,113 @@ def _check_complete(n: int, m: int, automorphisms) -> None:
         )
 
 
-def _on_cycle(adj: list[int], x: int, y: int) -> bool:
-    """Whether the edge xy lies on a cycle: y is reachable from x without it."""
-    seen = 1 << x
-    frontier = adj[x] & ~(1 << y)
-    while frontier:
-        if frontier >> y & 1:
-            return True
-        seen |= frontier
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reach & ~seen
-    return False
+def _edge_sides(adj: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per edge xy of each graph, the mask of vertices x reaches without xy.
+
+    adj is (P, n) adjacency masks and x, y are (P, E) edge ends.  The
+    edge lies on a cycle exactly when its side holds y; a bridge's side
+    is x's component once the edge is gone.  Grows every side at once,
+    one breadth-first step per pass, until none grows.
+    """
+    verts = np.arange(adj.shape[1], dtype=np.int64)
+    bit = np.int64(1) << verts
+    rows = np.arange(len(adj))[:, None]
+    cut = np.repeat(adj[:, None, :], x.shape[1], axis=1)  # (P, E, n), less the edge
+    np.put_along_axis(cut, x[..., None], (adj[rows, x] & ~bit[y])[..., None], axis=2)
+    np.put_along_axis(cut, y[..., None], (adj[rows, y] & ~bit[x])[..., None], axis=2)
+    side = bit[x]
+    while True:
+        inside = ((side[..., None] >> verts) & 1).astype(bool)
+        grown = side | np.bitwise_or.reduce(np.where(inside, cut, 0), axis=2)
+        if (grown == side).all():
+            return side
+        side = grown
+
+
+def _pendant_children(trees: np.ndarray, n: int) -> np.ndarray:
+    """Adjacency masks of every tree on n-1 vertices plus a leaf n-1 at each vertex."""
+    bit = np.int64(1) << np.arange(n, dtype=np.int64)
+    adj = np.zeros((len(trees), n), dtype=np.int64)
+    adj[:, :-1] = _masks(_cube(trees))
+    children = np.repeat(adj[:, None, :], n - 1, axis=1)
+    v = np.arange(n - 1)
+    children[:, v, v] |= bit[-1]
+    children[:, v, -1] = bit[v]
+    return children.reshape(-1, n)
+
+
+def _deletion_filter(parents: np.ndarray, n: int):
+    """Adjacency masks of the children P + uv that pass the filter, per chunk.
+
+    A child passes when no cycle edge of it has a larger invariant
+    (max degree, min degree, common neighbours) than uv, each packed
+    into one int with fields n.bit_length() bits wide.  Every child's
+    invariants follow from its parent's, over (parent, non-edge, edge)
+    arrays for _CUBE_CHUNK parents at a time:
+
+    - adding uv raises the degrees of u and v by one and gives a parent
+      edge (u, w) one more common neighbour exactly when w ~ v (likewise
+      at v), so only the edges at u or v change invariant, and none
+      falls;
+    - a parent cycle edge stays one, and a parent bridge becomes one
+      exactly when its side (_edge_sides) holds one of u and v.
+
+    So a parent cycle edge above uv's invariant rejects the child
+    outright; only the children it leaves are checked edge by edge.
+    """
+    verts = np.arange(n, dtype=np.int64)
+    bit = np.int64(1) << verts
+    width = n.bit_length()
+    iu, ju = np.triu_indices(n, 1)
+
+    def invariant(dx, dy, common):
+        return (np.maximum(dx, dy) << width | np.minimum(dx, dy)) << width | common
+
+    for start in range(0, len(parents), _CUBE_CHUNK):
+        cube = _cube(parents[start:start + _CUBE_CHUNK])
+        count = len(cube)
+        rows = np.arange(count)[:, None]
+        adj = _masks(cube)
+        common = _common(cube)
+        deg = common[:, verts, verts]
+        present = cube[:, iu, ju]  # every parent has the same number of edges
+        pair = np.nonzero(present)[1].reshape(count, -1)
+        x, y = iu[pair], ju[pair]
+        pair = np.nonzero(~present)[1].reshape(count, -1)
+        u, v = iu[pair], ju[pair]
+        dx, dy, cxy = deg[rows, x], deg[rows, y], common[rows, x, y]
+        side = _edge_sides(adj, x, y)
+        cycle = ((side >> y) & 1).astype(bool)
+        top = np.where(cycle, invariant(dx, dy, cxy), -1).max(axis=1)
+        mine = invariant(deg[rows, u] + 1, deg[rows, v] + 1, common[rows, u, v])
+        # the children no parent cycle edge rejects, one row each
+        p, k = np.nonzero(top[:, None] <= mine)
+        u, v, mine = u[p, k, None], v[p, k, None], mine[p, k, None]
+        xp, yp, side = x[p], y[p], side[p]
+        at_x = (xp == u) | (xp == v)
+        at_y = (yp == u) | (yp == v)
+        # u ^ v ^ x is the end of uv other than x, when x is one
+        gained = at_x & ((adj[p[:, None], yp] >> (u ^ v ^ xp)) & 1).astype(bool)
+        gained |= at_y & ((adj[p[:, None], xp] >> (u ^ v ^ yp)) & 1).astype(bool)
+        child = invariant(dx[p] + at_x, dy[p] + at_y, cxy[p] + gained)
+        on_cycle = cycle[p] | (((side >> u) ^ (side >> v)) & 1).astype(bool)
+        keep = ~(on_cycle & (child > mine)).any(axis=1)
+        p, u, v = p[keep], u[keep, 0], v[keep, 0]
+        children = adj[p]
+        children[np.arange(len(p)), u] |= bit[v]
+        children[np.arange(len(p)), v] |= bit[u]
+        yield children
+
+
+def _frozen(keys: np.ndarray) -> np.ndarray:
+    keys.flags.writeable = False
+    return keys
 
 
 @lru_cache(maxsize=None)
-def _connected_classes(n: int, m: int) -> tuple[UndirectedGraph, ...]:
-    """Connected classes with n vertices and m edges, canonically labeled.
+def _connected_classes(n: int, m: int) -> np.ndarray:
+    """Connected classes with n vertices and m edges, as a (K, n) int64
+    array of canonical keys, in increasing row order.
 
     Trees (m = n-1) grow from the trees on n-1 vertices by a pendant
     vertex, since a tree less a leaf is a tree.  Every connected graph C
@@ -219,114 +340,46 @@ def _connected_classes(n: int, m: int) -> tuple[UndirectedGraph, ...]:
     class's representative plus the image of e* is isomorphic to C, and
     the new edge has the largest invariant among the child's cycle
     edges, since the invariant ignores labels.  So a child P + uv is
-    canonicalized only when no cycle edge of it beats uv's invariant:
-    the cheap first step of McKay's canonical augmentation
-    ("Isomorph-free exhaustive generation", J. Algorithms 26, 1998),
-    which drops most children before their canonical form is built.
+    canonicalized only when no cycle edge of it beats uv's invariant
+    (_deletion_filter): the cheap first step of McKay's canonical
+    augmentation ("Isomorph-free exhaustive generation", J. Algorithms
+    26, 1998), which drops most children before their canonical form is
+    built.
 
-    Each invariant is packed into one int, its fields n.bit_length()
-    bits wide, and the child's follow from the parent's: adding uv raises
-    the degrees of u and v by one and gives a parent edge (u, w) one more
-    common neighbour exactly when w ~ v (likewise at v); every other edge
-    keeps its parent invariant.
-
-    Children that pass wait in a pending list, canonicalized together by
-    _canonical_batch whenever _CANON_CHUNK of them have gathered and once
-    more for the rest.  Children are deduplicated by canonical key, and
-    only then is each key decoded into its graph (_class_graph), in key
-    order, so the output does not depend on which child reached a class
-    first.  Before returning, the classes must satisfy sum n!/|Aut| =
-    labelled connected count.  The cache holds each class's graph once,
-    and enumerate_connected_underlying hands out those same objects.
+    Children that pass are canonicalized _CANON_CHUNK at a time by
+    _canonical_batch, and deduplicated by sorting the key rows, which
+    orders them as their tuples would, every key being nonnegative.  So
+    the output does not depend on which child reached a class first.
+    Before returning, the classes' |Aut| values must satisfy
+    sum n!/|Aut| = labelled connected count.  The cached array is
+    read-only, since every caller shares it; parents become adjacency
+    masks by bit operations on their keys (_cube, _masks).
     """
     if m < n - 1 or m > comb(n, 2):
-        return ()
+        return _frozen(np.zeros((0, n), dtype=np.int64))
     if n == 1:
-        return (UndirectedGraph(1, ()),)
-    found: dict[tuple[int, ...], int] = {}
-    pending: list[list[int]] = []
-
-    def flush() -> None:
-        keys, auts = _canonical_batch(np.array(pending, dtype=np.int64))
-        found.update(zip(map(tuple, keys.tolist()), auts.tolist()))
-        pending.clear()
-
-    def offer(adj: list[int]) -> None:
-        pending.append(adj.copy())
-        if len(pending) >= _CANON_CHUNK:
-            flush()
-
+        return _frozen(np.zeros((1, 1), dtype=np.int64))
     if m == n - 1:
-        leaf = n - 1
-        for tree in _connected_classes(n - 1, m - 1):
-            adj = tree.adjacency_masks() + [0]
-            for v in range(leaf):
-                adj[v] |= 1 << leaf
-                adj[leaf] = 1 << v
-                offer(adj)
-                adj[v] ^= 1 << leaf
+        blocks = [_pendant_children(_connected_classes(n - 1, m - 1), n)]
     else:
-        width = n.bit_length()
-
-        def invariant(dx: int, dy: int, common: int) -> int:
-            if dx < dy:
-                dx, dy = dy, dx
-            return (dx << width | dy) << width | common
-
-        for parent in _connected_classes(n, m - 1):
-            adj = parent.adjacency_masks()
-            deg = [a.bit_count() for a in adj]
-            # adding uv keeps every cycle edge of the parent on a cycle and
-            # changes the invariant only of the edges at u or v, never
-            # lowering it; so the edges whose parent invariant beats uv's
-            # form a prefix of this ranking, and only the edges at u or v
-            # outside that prefix need their child invariant
-            ranked = []
-            # at[x]: the edges at x, each with its other end and common count
-            at: list[list] = [[] for _ in range(n)]
-            for x, y in parent.edges:
-                common = (adj[x] & adj[y]).bit_count()
-                e = (invariant(deg[x], deg[y], common), x, y, _on_cycle(adj, x, y))
-                ranked.append(e)
-                at[x].append((*e, y, common))
-                at[y].append((*e, x, common))
-            ranked.sort(reverse=True)
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if adj[u] >> v & 1:
-                        continue
-                    mine = invariant(deg[u] + 1, deg[v] + 1, (adj[u] & adj[v]).bit_count())
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-                    beaten = False
-                    for inv, x, y, cyc in ranked:
-                        if inv <= mine:
-                            break
-                        if cyc or _on_cycle(adj, x, y):
-                            beaten = True
-                            break
-                    if not beaten:
-                        beaten = any(
-                            inv <= mine
-                            and invariant(deg[a] + 1, deg[w], common + (adj[w] >> b & 1)) > mine
-                            and (cyc or _on_cycle(adj, x, y))
-                            for a, b in ((u, v), (v, u))
-                            for inv, x, y, cyc, w, common in at[a]
-                        )
-                    if not beaten:
-                        offer(adj)
-                    adj[u] ^= 1 << v
-                    adj[v] ^= 1 << u
-    if pending:
-        flush()
-    _check_complete(n, m, found.values())
-    return tuple(_class_graph(n, key) for key in sorted(found))
+        blocks = _deletion_filter(_connected_classes(n, m - 1), n)
+    keys, auts = [], []
+    for children in blocks:
+        for start in range(0, len(children), _CANON_CHUNK):
+            batch_keys, batch_auts = _canonical_batch(children[start:start + _CANON_CHUNK])
+            keys.append(batch_keys)
+            auts.append(batch_auts)
+    keys, auts = np.concatenate(keys), np.concatenate(auts)
+    order = np.lexsort(keys.T[::-1])
+    keys, auts = keys[order], auts[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    _check_complete(n, m, auts[first])
+    return _frozen(keys[first])
 
 
-def enumerate_connected_underlying(
-    n: int, m: int, max_n: int = DEFAULT_MAX_N
-) -> list[UndirectedGraph]:
-    """All connected simple graphs with n vertices and m edges, one per class."""
+def _class_keys(n: int, m: int, max_n: int) -> np.ndarray:
+    """_connected_classes(n, m), after the checks every public caller makes."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > max_n:
@@ -336,7 +389,40 @@ def enumerate_connected_underlying(
         )
     if not (1 <= m <= comb(n, 2)):
         raise ValueError(f"need 1 <= m <= C(n,2) = {comb(n, 2)}, got m = {m}")
-    return list(_connected_classes(n, m))
+    return _connected_classes(n, m)
+
+
+def _class_counts(keys: np.ndarray) -> np.ndarray:
+    """(3, K) int64: max degree, M(G,2) and q(G) of every class, from its cube.
+
+    M(G,2) = C(m,2) - sum_v C(d_v,2): of all pairs of edges, exactly
+    those sharing a vertex are not 2-matchings.  Each pair of common
+    neighbours of a pair a < c closes one 4-cycle with diagonal ac, and
+    each 4-cycle has two diagonals, so q(G) is half the sum of
+    C(|N(a) & N(c)|, 2) over pairs a < c, that is the sum of k(k-1) over
+    the off-diagonal entries k of A.A, over 8.
+    """
+    out = np.empty((3, len(keys)), dtype=np.int64)
+    verts = np.arange(keys.shape[1])
+    for start in range(0, len(keys), _CUBE_CHUNK):
+        common = _common(_cube(keys[start:start + _CUBE_CHUNK]))
+        deg = common[:, verts, verts]
+        m = deg.sum(axis=1) // 2
+        stars = (deg * (deg - 1)).sum(axis=1)
+        block = out[:, start:start + _CUBE_CHUNK]
+        block[0] = deg.max(axis=1)
+        block[1] = m * (m - 1) // 2 - stars // 2
+        block[2] = ((common * (common - 1)).sum(axis=(1, 2)) - stars) // 8
+    return out
+
+
+def enumerate_connected_underlying(
+    n: int, m: int, max_n: int = DEFAULT_MAX_N
+) -> list[UndirectedGraph]:
+    """All connected simple graphs with n vertices and m edges, one per class,
+    canonically labeled, in the order of their keys; each call decodes them
+    afresh from the cached keys."""
+    return _class_graphs(_class_keys(n, m, max_n))
 
 
 # ---------------------------------------------------------------------------
@@ -364,25 +450,6 @@ def _spanning_forest(ug: UndirectedGraph):
     return forest, rest
 
 
-def _orientation_matrices(n: int, forest, rest, codes: np.ndarray) -> np.ndarray:
-    """Skew matrices of the census orientations with the given codes.
-
-    Every forest edge (u, v) is directed u -> v; edge i of rest is
-    directed as listed when bit i of the code is 0 and reversed when it
-    is 1.  Edges are listed low vertex first, so code 0 directs every
-    edge from its lower to its higher vertex.
-    """
-    s = np.zeros((len(codes), n, n), dtype=np.int64)
-    tails, heads = np.array(forest, dtype=np.intp).reshape(-1, 2).T
-    s[:, tails, heads] = 1
-    s[:, heads, tails] = -1
-    tails, heads = np.array(rest, dtype=np.intp).reshape(-1, 2).T
-    signs = 1 - 2 * ((codes[:, None] >> np.arange(len(rest), dtype=np.int64)) & 1)
-    s[:, tails, heads] = signs
-    s[:, heads, tails] = -signs
-    return s
-
-
 def orientation_coefficient_census(
     ug: UndirectedGraph, chunk: int = _CENSUS_CHUNK
 ) -> Counter:
@@ -394,68 +461,34 @@ def orientation_coefficient_census(
     spanning forest F, and each orbit holds exactly one orientation with
     the forest edges directed as listed.  So only those are scanned,
     varying the other m - |F| edges in chunks through the batched
-    kernel, and each count is multiplied by 2^|F|.  The result maps
-    coefficient tuples to the number of orientations attaining them.
+    kernel, and each count is multiplied by 2^|F|.  Every forest edge
+    (u, v) is directed u -> v; edge i of the rest is directed as listed
+    when bit i of the code is 0 and reversed when it is 1.  The result
+    maps coefficient tuples to the number of orientations attaining them.
     """
     if ug.m > _ORIENTATION_GUARD:
         raise ValueError(
             f"refusing to scan 2^{ug.m} orientations (guard is 2^{_ORIENTATION_GUARD})"
         )
     forest, rest = _spanning_forest(ug)
+    f_tails, f_heads = np.array(forest, dtype=np.intp).reshape(-1, 2).T
+    r_tails, r_heads = np.array(rest, dtype=np.intp).reshape(-1, 2).T
     counts: Counter = Counter()
     total = 1 << len(rest)
     for start in range(0, total, chunk):
         codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        block = _even_coeffs_batch(_orientation_matrices(ug.n, forest, rest, codes))
+        s = np.zeros((len(codes), ug.n, ug.n), dtype=np.int64)
+        s[:, f_tails, f_heads] = 1
+        s[:, f_heads, f_tails] = -1
+        signs = 1 - 2 * ((codes[:, None] >> np.arange(len(rest), dtype=np.int64)) & 1)
+        s[:, r_tails, r_heads] = signs
+        s[:, r_heads, r_tails] = -signs
+        block = _even_coeffs_batch(s)
         if ug.n >= 2 and not (block[:, 1] == ug.m).all():
             raise RuntimeError("a_2 disagrees with the arc count; this is a bug")
         counts.update(map(tuple, block.tolist()))
     weight = 1 << len(forest)
     return Counter({vec: count * weight for vec, count in counts.items()})
-
-
-def _a4_spectra(classes, r: int) -> np.ndarray:
-    """a_4 of every census orientation of every class, as an int32 array.
-
-    Row k, column b is a_4 of class k's orientation with code b (see
-    _orientation_matrices); each class must have r = m - |F| edges
-    outside its spanning forest.  a_4 sums the basic subgraphs on four
-    vertices (Hou and Lei, Electron. J. Combin. 18, 2011): each of the
-    M(G,2) 2-matchings weighs 1, and each 4-cycle Q weighs 2 when oddly
-    oriented and -2 when evenly.  The code bits of Q's non-forest edges
-    form mask_Q, and code b reverses Q's parity exactly when
-    popcount(b & mask_Q) is odd.  So with w_Q the weight at code 0,
-
-        a_4(b) = M(G,2) + sum_Q w_Q (-1)^popcount(b & mask_Q),
-
-    the Walsh-Hadamard transform of the row holding M(G,2) at index 0
-    and each w_Q added at index mask_Q.  One in-place butterfly pass per
-    code bit transforms every row at once.
-    """
-    spectra = np.zeros((len(classes), 1 << r), dtype=np.int32)
-    for k, ug in enumerate(classes):
-        _, rest = _spanning_forest(ug)
-        bit = {e: 1 << i for i, e in enumerate(rest)}
-        row = [0] * (1 << r)
-        row[0] = _two_matching_count(ug)
-        for quad in quadrangles(ug):
-            mask, against = 0, 0
-            for x, y in zip(quad, quad[1:] + quad[:1]):
-                if x < y:
-                    mask |= bit.get((x, y), 0)
-                else:  # code 0 directs every edge up, against this step
-                    mask |= bit.get((y, x), 0)
-                    against += 1
-            # of 4 arcs, an odd number along the cycle means an odd number against
-            row[mask] += 2 if against % 2 else -2
-        spectra[k] = row
-    for j in range(r):
-        pairs = spectra.reshape(len(classes), -1, 2, 1 << j)
-        lo, hi = pairs[:, :, 0], pairs[:, :, 1]
-        lo += hi  # lo + hi
-        hi *= -2
-        hi += lo  # (lo + hi) - 2 hi = lo - hi
-    return spectra
 
 
 # ---------------------------------------------------------------------------
@@ -551,15 +584,17 @@ def verify_theorem_1(n: int, m: int, max_n: int = DEFAULT_MAX_N) -> MinimalityCe
     Every census vector is (1, m, a_4, ...) with a nonnegative tail, so
     one with a_4 above the target's is strictly greater than the target
     in the quasi-order: _decide passes over it, and with a larger energy
-    than the target's it cannot be the least-energy vector on fail.  So
-    _a4_spectra gives a_4 for every census orientation of every class
-    at once, and only the orientations whose a_4 is at most the target's
-    go through the exact kernel, which must agree with the transform on
-    each of them.  Those kernel vectors, each weighted by the 2^(n-1)
-    switchings of its orientation, are the census _decide reads.
+    than the target's it cannot be the least-energy vector on fail.
+    a_4 sums the basic subgraphs on four vertices: each of the M(G,2)
+    2-matchings weighs 1 and each 4-cycle +-2, so every orientation of a
+    class has a_4 >= M(G,2) - 2q(G).  So only the classes whose bound is
+    at most the target's a_4 are censused, each checked against its
+    bound, and only their vectors with a_4 at most the target's are kept:
+    that census, weighted as orientation_coefficient_census weights it,
+    is the one _decide reads.
     """
     _check_window(n, m)
-    classes = enumerate_connected_underlying(n, m, max_n=max_n)
+    keys = _class_keys(n, m, max_n)
     predicted = predicted_family(n, m)
     o_vec = charpoly(construct_o_plus(n, m)).coeffs
     b_vec = charpoly(construct_b_plus(n, m)).coeffs
@@ -578,24 +613,18 @@ def verify_theorem_1(n: int, m: int, max_n: int = DEFAULT_MAX_N) -> MinimalityCe
             f"the target {target} has a nonzero coefficient past a_4; this is a bug"
         )
 
-    a4 = _a4_spectra(classes, m - n + 1)
-    orientations = a4.size << (n - 1)
-    if orientations != len(classes) << m:
-        raise RuntimeError("orientation count does not add up; this is a bug")
-    ks, codes = np.nonzero(a4 <= target[2])
-    blocks = [np.empty((0, n, n), dtype=np.int64)]
-    for k in sorted(set(ks.tolist())):
-        forest, rest = _spanning_forest(classes[k])
-        blocks.append(_orientation_matrices(n, forest, rest, codes[ks == k]))
-    kernel = _even_coeffs_batch(np.concatenate(blocks))
-    if not (kernel[:, 1] == m).all():
-        raise RuntimeError("a_2 disagrees with the arc count; this is a bug")
-    if not (kernel[:, 2] == a4[ks, codes]).all():
-        raise RuntimeError("the kernel's a_4 disagrees with the transform's; this is a bug")
-    weight = 1 << (n - 1)
-    census = Counter(
-        {vec: count * weight for vec, count in Counter(map(tuple, kernel.tolist())).items()}
-    )
+    _, two_matchings, quads = _class_counts(keys)
+    bound = two_matchings - 2 * quads
+    near = bound <= target[2]
+    census: Counter = Counter()
+    for ug, low in zip(_class_graphs(keys[near]), bound[near].tolist()):
+        vectors = orientation_coefficient_census(ug)
+        if min(vec[2] for vec in vectors) < low:
+            raise RuntimeError(
+                f"an orientation of {ug.edges} has a_4 below M(G,2) - 2q(G) = {low}; "
+                "this is a bug"
+            )
+        census.update({vec: count for vec, count in vectors.items() if vec[2] <= target[2]})
     verdict, min_coeffs = _decide(n, census, target)
 
     return MinimalityCertificate(
@@ -605,8 +634,8 @@ def verify_theorem_1(n: int, m: int, max_n: int = DEFAULT_MAX_N) -> MinimalityCe
         min_coeffs=min_coeffs,
         minimizer_count=census[min_coeffs],
         verdict=verdict,
-        graphs_scanned=len(classes),
-        orientations_scanned=orientations,
+        graphs_scanned=len(keys),
+        orientations_scanned=len(keys) << m,
     )
 
 
@@ -643,18 +672,17 @@ def _quadrangle_bound(n: int, m: int, max_n: int, dominating_only: bool) -> Boun
     """The bound over every class, or only those with a dominating vertex.
 
     A dominating vertex lowers the bound from C(m-n+2, 2) to C(m-n+1, 2).
+    Degrees and q(G) come from the classes' keys (_class_counts); only
+    the violators are decoded into graphs.
     """
     _check_window(n, m)
     bound = comb(m - n + (1 if dominating_only else 2), 2)
-    violations = []
-    checked = 0
-    for ug in enumerate_connected_underlying(n, m, max_n=max_n):
-        if dominating_only and ug.max_degree() != n - 1:
-            continue
-        checked += 1
-        if count_quadrangles(ug) > bound:
-            violations.append(ug.edges)
-    return BoundReport(n, m, bound, checked, tuple(violations))
+    keys = _class_keys(n, m, max_n)
+    max_degree, _, quads = _class_counts(keys)
+    if dominating_only:
+        keys, quads = keys[max_degree == n - 1], quads[max_degree == n - 1]
+    violations = tuple(ug.edges for ug in _class_graphs(keys[quads > bound]))
+    return BoundReport(n, m, bound, len(keys), violations)
 
 
 def verify_quadrangle_bound(n: int, m: int, max_n: int = DEFAULT_MAX_N) -> BoundReport:

@@ -8,7 +8,7 @@ isomorphism through networkx's VF2, and the subgraph expansion through
 a list of every basic subgraph, and canonical forms through a scalar
 search over vertex orders.  One exception shares production code: the
 full-census certificate shares the per-class census and the verdict with
-the a_4 transform it checks.  Slow and simple on purpose.
+the class-bound scan it checks.  Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -360,8 +360,8 @@ def census_certificate(n: int, m: int, predicted: str) -> MinimalityCertificate:
     """The certificate from the full census: every orientation of every
     class through the exact kernel, then the verdict.
 
-    The reference for ``verify_theorem_1``, which sends only the
-    orientations whose a_4 could reach the target through the kernel.
+    The reference for ``verify_theorem_1``, which censuses only the
+    classes whose bound M(G,2) - 2q(G) on a_4 could reach the target's.
     """
     classes = enumerate_connected_underlying(n, m, max_n=n)
     o_vec = charpoly(construct_o_plus(n, m)).coeffs

@@ -1,5 +1,6 @@
 """Class enumeration, orientation scans, bounds, and the minimality search."""
 
+import hashlib
 import json
 import random
 from collections import Counter
@@ -19,15 +20,13 @@ from skewenergy.charpoly import (
 from skewenergy import extremal
 from skewenergy.cli import main
 from skewenergy.extremal import (
-    _a4_spectra,
     _canonical_batch,
     _check_complete,
-    _class_graph,
+    _class_counts,
+    _class_graphs,
     _connected_classes,
     _decide,
-    _on_cycle,
-    _orientation_matrices,
-    _spanning_forest,
+    _edge_sides,
     crossover_table,
     enumerate_connected_underlying,
     labelled_connected_count,
@@ -46,10 +45,13 @@ from skewenergy.graphs import (
     skew_adjacency,
     underlying,
 )
-from skewenergy.subgraphs import CycleParity, cycle_parity
+from skewenergy.subgraphs import CycleParity, _two_matching_count, count_quadrangles, cycle_parity
 
+import _oracles
 from _oracles import (
     augment_every_non_edge,
+    brute_matchings,
+    brute_quadrangle_edge_sets,
     canonical_scalar,
     census_certificate,
     deletion_filter_survivors,
@@ -123,12 +125,13 @@ class TestCanonical:
         rng = random.Random(5001)
         for n in range(1, 8):
             for m in range(n - 1, comb(n, 2) + 1):
-                classes = _connected_classes(n, m)
+                keys = _connected_classes(n, m)
+                classes = _class_graphs(keys)
                 shuffled = [_relabeled(ug, rng) for ug in classes]
-                got = _batch(list(classes) + shuffled)
-                for ug, g, (key, aut), again in zip(classes, shuffled, got, got[len(classes):]):
+                got = _batch(classes + shuffled)
+                for want, g, (key, aut), again in zip(keys.tolist(), shuffled, got, got[len(classes):]):
                     assert again == (key, aut) == canonical_scalar(g.adjacency_masks())
-                    assert _class_graph(n, key).edges == ug.edges
+                    assert key == tuple(want)
 
     def test_relabeling_gives_same_key(self):
         # random graphs with n <= 10 and a random relabelling of each get
@@ -152,7 +155,7 @@ class TestCanonical:
         rng = random.Random(5004)
         (key, got), (key2, got2) = _batch([ug, _relabeled(ug, rng)])
         assert got == got2 == aut and key == key2
-        assert _batch([_class_graph(ug.n, key)]) == [(key, aut)]
+        assert _batch(_class_graphs(np.array([key], dtype=np.int64))) == [(key, aut)]
         if aut <= 5040:
             assert (key, got) == canonical_scalar(ug.adjacency_masks())
 
@@ -164,19 +167,24 @@ class TestCanonical:
         # final frontier x prod |twin class|! against VF2, every class n <= 7
         for n in range(2, 8):
             for m in range(n - 1, comb(n, 2) + 1):
-                classes = _connected_classes(n, m)
+                classes = enumerate_connected_underlying(n, m)
                 assert [aut for _, aut in _batch(classes)] == [
                     nx_automorphism_count(ug) for ug in classes
                 ], (n, m)
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_chunk_boundaries_leave_the_classes_unchanged(self, monkeypatch, chunk):
+        # canonical batches of 1 or 7 children, filter and count steps of
+        # 7 parents or classes
         want = {m: _connected_classes(7, m) for m in range(6, 22)}
+        counts = {m: _class_counts(want[m]) for m in want}
         _connected_classes.cache_clear()
         monkeypatch.setattr(extremal, "_CANON_CHUNK", chunk)
+        monkeypatch.setattr(extremal, "_CUBE_CHUNK", 7)
         try:
             for m in range(6, 22):
-                assert _connected_classes(7, m) == want[m], m
+                assert np.array_equal(_connected_classes(7, m), want[m]), m
+                assert np.array_equal(_class_counts(want[m]), counts[m]), m
         finally:
             _connected_classes.cache_clear()
 
@@ -187,10 +195,30 @@ class TestClassEnumeration:
         assert trees == [1, 1, 1, 2, 3, 6, 11, 23]
 
     def test_repeated_calls_share_the_cached_classes(self):
+        # one cached key array; each call decodes equal, fresh graphs
+        assert _connected_classes(6, 7) is _connected_classes(6, 7)
         first = enumerate_connected_underlying(6, 7)
         second = enumerate_connected_underlying(6, 7)
-        assert first is not second and len(first) == len(second)
-        assert all(a is b for a, b in zip(first, second))
+        assert first is not second and first == second
+        assert [g.edges for g in first] == [g.edges for g in _class_graphs(_connected_classes(6, 7))]
+
+    def test_cached_keys_are_read_only(self):
+        keys = _connected_classes(6, 7)
+        assert keys.dtype == np.int64 and keys.shape == (19, 6)
+        assert not keys.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            keys[0, 0] = 1
+        assert keys.tolist() == sorted(keys.tolist())
+
+    def test_class_list_golden(self):
+        # md5 of every class list for n <= 8, every m, fixed before the
+        # enumeration moved to key arrays
+        digest = hashlib.md5()
+        for n in range(2, 9):
+            for m in range(n - 1, comb(n, 2) + 1):
+                edges = [g.edges for g in enumerate_connected_underlying(n, m)]
+                digest.update(json.dumps(edges).encode())
+        assert digest.hexdigest() == "7015e710442c3062cfa6833e374ffedb"
 
     def test_small_examples(self):
         assert len(enumerate_connected_underlying(4, 3)) == 2  # path and star
@@ -214,10 +242,12 @@ class TestClassEnumeration:
     @pytest.mark.parametrize("n,top", [(n, comb(n, 2)) for n in range(1, 8)] + [(8, 11), (9, 10)])
     def test_filter_matches_unfiltered_augmentation(self, n, top):
         for m in range(n - 1, top + 1):
-            ours = tuple(g.edges for g in _connected_classes(n, m))
+            ours = tuple(g.edges for g in _class_graphs(_connected_classes(n, m)))
             assert ours == augment_every_non_edge(n, m), (n, m)
 
-    def test_on_cycle_matches_networkx_bridges(self):
+    def test_edge_sides_match_networkx_bridges(self):
+        # a side holds the far end exactly off the bridges; a bridge's side
+        # is the near end's component once the bridge is gone
         import networkx as nx
 
         rng = random.Random(5003)
@@ -225,10 +255,17 @@ class TestClassEnumeration:
             n = rng.randint(2, 10)
             pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
             ug = UndirectedGraph(n, tuple(sorted(rng.sample(pool, rng.randint(1, len(pool))))))
-            bridges = {tuple(sorted(e)) for e in nx.bridges(nx_graph(ug))}
-            adj = ug.adjacency_masks()
-            for x, y in ug.edges:
-                assert _on_cycle(adj, x, y) == _on_cycle(adj, y, x) == ((x, y) not in bridges)
+            g = nx_graph(ug)
+            bridges = {tuple(sorted(e)) for e in nx.bridges(g)}
+            adj = np.array([ug.adjacency_masks()], dtype=np.int64)
+            edges = np.array([ug.edges], dtype=np.int64)
+            for x, y in ((edges[..., 0], edges[..., 1]), (edges[..., 1], edges[..., 0])):
+                sides = _edge_sides(adj, x, y)[0].tolist()
+                for a, b, side in zip(x[0].tolist(), y[0].tolist(), sides):
+                    assert (side >> b & 1) == ((min(a, b), max(a, b)) not in bridges)
+                    h = g.copy()
+                    h.remove_edge(a, b)
+                    assert side == sum(1 << w for w in nx.node_connected_component(h, a))
 
     def test_filter_skips_most_canonical_forms(self, monkeypatch):
         # unfiltered, the (8, 8..11) window takes 15,637 canonical forms
@@ -481,23 +518,44 @@ class TestDecide:
 
 
 class TestWalshCensus:
-    """verify_theorem_1 takes a_4 of every orientation from one
-    Walsh-Hadamard transform and runs the exact kernel only where a_4 is
-    at most the target's; the full census is its reference."""
+    """verify_theorem_1 censuses only the classes whose bound
+    M(G,2) - 2q(G) on a_4 is at most the target's a_4, and keeps only the
+    vectors whose a_4 is too; the full census is its reference.  (The
+    class keeps the name it had when a_4 came from a Walsh transform.)"""
 
-    def test_transform_matches_kernel_a4(self):
-        scanned = 0
-        for n, m in WINDOWS_TO_8:
-            classes = enumerate_connected_underlying(n, m)
-            spectra = _a4_spectra(classes, m - n + 1)
-            assert spectra.shape == (len(classes), 2 ** (m - n + 1))
-            for ug, row in zip(classes, spectra):
-                forest, rest = _spanning_forest(ug)
-                codes = np.arange(2 ** len(rest), dtype=np.int64)
-                kernel = _even_coeffs_batch(_orientation_matrices(n, forest, rest, codes))
-                assert kernel[:, 2].tolist() == row.tolist(), (n, m, ug.edges)
-                scanned += len(codes)
-        assert scanned == 19336
+    def test_every_census_vector_meets_its_class_bound(self):
+        tight = 0
+        for n in range(4, 8):  # a_4 needs four vertices
+            for m in range(n - 1, comb(n, 2) + 1):
+                keys = _connected_classes(n, m)
+                _, two, quads = _class_counts(keys)
+                for ug, low in zip(_class_graphs(keys), (two - 2 * quads).tolist()):
+                    least = min(vec[2] for vec in orientation_coefficient_census(ug))
+                    assert least >= low, (n, m, ug.edges)
+                    tight += least == low
+        assert tight > 0
+
+    def test_high_target_censuses_many_classes(self, monkeypatch):
+        # a two-hub target (every arc at vertex 0 or 1, so rank S <= 4) with
+        # a_4 = 20 at (7, 9): 105 of the 107 classes have a bound of at most
+        # 20, and each is censused through the module's public name
+        hub = build(7, [(2, 0), (3, 0), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4), (1, 5)])
+        assert charpoly(hub).coeffs == (1, 9, 20, 0)
+        censused = []
+        real = extremal.orientation_coefficient_census
+
+        def counted(ug):
+            censused.append(ug)
+            return real(ug)
+
+        monkeypatch.setattr(extremal, "orientation_coefficient_census", counted)
+        monkeypatch.setattr(extremal, "predicted_family", lambda n, m: "O_plus")
+        monkeypatch.setattr(extremal, "construct_o_plus", lambda n, m: hub)
+        monkeypatch.setattr(_oracles, "construct_o_plus", lambda n, m: hub)
+        cert = verify_theorem_1(7, 9)
+        assert len(censused) == 105
+        assert cert.verdict == "fail"
+        assert cert.to_dict() == census_certificate(7, 9, "O_plus").to_dict()
 
     @pytest.mark.parametrize("n,m", WINDOWS_TO_8)
     def test_matches_full_census(self, n, m):
@@ -528,17 +586,18 @@ class TestWalshCensus:
         assert main(["verify", "--n", "6", "--m", "6"]) == 5
         assert "past a_4" in capsys.readouterr().err
 
-    def test_kernel_disagreeing_with_transform_exits_5(self, monkeypatch, capsys):
-        real = extremal._even_coeffs_batch
+    def test_census_below_class_bound_exits_5(self, monkeypatch, capsys):
+        real = extremal.orientation_coefficient_census
 
-        def perturbed(s):
-            out = real(s)
-            out[0, 2] += 1
-            return out
+        def lowered(ug):
+            census = real(ug)
+            vec = min(census)
+            census[(vec[0], vec[1], vec[2] - 100) + vec[3:]] = census.pop(vec)
+            return census
 
-        monkeypatch.setattr(extremal, "_even_coeffs_batch", perturbed)
+        monkeypatch.setattr(extremal, "orientation_coefficient_census", lowered)
         assert main(["verify", "--n", "6", "--m", "7"]) == 5
-        assert "transform" in capsys.readouterr().err
+        assert "M(G,2) - 2q(G)" in capsys.readouterr().err
 
 
 class TestDominanceSplitByMaxDegree:
@@ -572,6 +631,20 @@ class TestQuadrangleBounds:
         report = verify_quadrangle_bound_max_degree(n, m)
         assert report.passed
         assert report.bound == comb(m - n + 1, 2)
+
+    def test_class_counts_match_single_graph_counts(self):
+        # max degree, M(G,2) and q(G) off the adjacency cube, against the
+        # single-graph routes for n <= 8 and the subset scans for n <= 6
+        for n in range(2, 9):
+            for m in range(n - 1, comb(n, 2) + 1):
+                keys = _connected_classes(n, m)
+                for ug, (top, two, quads) in zip(_class_graphs(keys), _class_counts(keys).T.tolist()):
+                    assert top == ug.max_degree()
+                    assert two == _two_matching_count(ug)
+                    assert quads == count_quadrangles(ug)
+                    if n <= 6:
+                        assert two == brute_matchings(ug, 2)
+                        assert quads == len(brute_quadrangle_edge_sets(ug))
 
     def test_bound_values(self):
         assert verify_quadrangle_bound(5, 5).bound == 1
