@@ -8,7 +8,9 @@ matrix, from LAPACK's real SVD.  The integral route evaluates
 where psi(x) = sum_i a_{2i} x^{2i} is built from the exact even
 characteristic-polynomial coefficients.  Since every a_{2i} >= 0 and
 a_0 = 1, psi >= 1 everywhere, the integrand is nonnegative, and the
-x=0 singularity is removable with limit a_2.
+x=0 singularity is removable with limit a_2.  It alone turns a bare
+coefficient vector into an energy (energy_from_even_coeffs, and to 60
+digits for tie-breaking, energy_from_even_coeffs_precise).
 
 Quadrature: the even integrand is folded to [0, inf) and substituted
 with x = e^t, which gives E = (2/pi) * integral over R of F(t) dt with
@@ -181,10 +183,12 @@ def skew_energy_integral(
     node count past node_cap.  Returns the estimate together with the
     node count, that error estimate, and whether it reached tol.  If
     even the step-1 grid exceeds node_cap, no node is evaluated: the
-    value is 0 and the error estimate infinite.
+    value is 0 and the error estimate infinite.  tol must be finite and
+    at least 2^-48: est_error includes _ROUNDING * value, and every graph
+    with an arc has energy at least 2, so no smaller tol can be met.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol >= 2 * _ROUNDING):
+        raise ValueError(f"tolerance must be finite and at least 2^-48, got {tol}")
     coeffs = [int(c) for c in p.coeffs]
     if not any(coeffs[1:]):
         return IntegralEnergy(value=0.0, nodes=0, est_error=0.0, tolerance_met=True)
@@ -243,18 +247,14 @@ def adjacency_energy_tree(ug: UndirectedGraph) -> float:
 
 
 def energy_from_even_coeffs(coeffs) -> float:
-    """Energy determined by an even coefficient vector alone.
+    """Energy determined by an even coefficient vector alone: the value of
+    skew_energy_integral at its default tolerance.
 
-    The vector factors det(xI - S) as x^(n-2K) * zeta(x^2) with zeta
-    monic of degree K; the eigenvalue magnitudes are the square roots
-    of the negated zeta roots.  The minimality scan uses it only to name
-    the minimizer of a failed scan (the vector fixes the whole spectrum).
+    The vector (a_0, a_2, ..., a_2K) fixes the whole spectrum, so it
+    fixes the energy; the minimality scan uses this only to name the
+    minimizer of a failed scan.
     """
-    cs = [int(c) for c in coeffs]
-    if len(cs) <= 1:
-        return 0.0
-    roots = np.roots(np.array(cs, dtype=np.float64))
-    return float(2.0 * np.sqrt(np.clip(-roots.real, 0.0, None)).sum())
+    return skew_energy_integral(SkewCharPoly(2 * (len(coeffs) - 1), coeffs)).value
 
 
 def energy_from_even_coeffs_precise(coeffs):
@@ -263,8 +263,8 @@ def energy_from_even_coeffs_precise(coeffs):
 
     (2/pi) * integral over [0, inf) of log1p(y * h(y)) / y, y = x^2, with
     h the tail polynomial a_2 + a_4 y + ..., by mpmath's tanh-sinh
-    quadrature split at x = 1.  Unlike a root finder it needs no distinct
-    or nonzero roots, so it returns for every vector.
+    quadrature split at x = 1.  It needs no distinct or nonzero roots, so
+    it returns for every vector.
     """
     import mpmath as mp
 

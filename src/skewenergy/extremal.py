@@ -450,9 +450,7 @@ def _spanning_forest(ug: UndirectedGraph):
     return forest, rest
 
 
-def orientation_coefficient_census(
-    ug: UndirectedGraph, chunk: int = _CENSUS_CHUNK
-) -> Counter:
+def orientation_coefficient_census(ug: UndirectedGraph) -> Counter:
     """Exact coefficient vector multiset over all 2^m orientations.
 
     Reversing every arc at a vertex maps S to DSD with D diagonal +-1,
@@ -475,8 +473,8 @@ def orientation_coefficient_census(
     r_tails, r_heads = np.array(rest, dtype=np.intp).reshape(-1, 2).T
     counts: Counter = Counter()
     total = 1 << len(rest)
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, _CENSUS_CHUNK):
+        codes = np.arange(start, min(start + _CENSUS_CHUNK, total), dtype=np.int64)
         s = np.zeros((len(codes), ug.n, ug.n), dtype=np.int64)
         s[:, f_tails, f_heads] = 1
         s[:, f_heads, f_tails] = -1
@@ -551,7 +549,8 @@ def _decide(n: int, census, target: tuple[int, ...]) -> tuple[str, tuple[int, ..
     Energy, (1/pi) * integral of ln(sum a_2i x^2i) / x^2, increases in
     every coefficient, so the verdict is pass when each vector is >= the
     target componentwise, or incomparable with a larger 60-digit energy.
-    On fail, min_coeffs is the vector of least float energy.
+    On fail, min_coeffs is the vector of least integral energy
+    (energy_from_even_coeffs), ties broken by the vector.
     """
     if target not in census:
         raise RuntimeError(

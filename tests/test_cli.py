@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +80,13 @@ class TestExitCodes:
         assert main(["construct", "--name", "o-plus", "--n", "4", "--m", "4"]) == 4
         assert main(["charpoly", "--construct", "o-plus", "--n", "6"]) == 4
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "1e-320", "1e-200"])
+    def test_unreachable_tolerance_is_4(self, tol, capsys):
+        assert main(["energy", "--construct", "star", "--n", "5", "--tol", tol]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at least 2^-48" in captured.err
+
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["charpoly", "--bogus"])
@@ -153,10 +161,14 @@ class TestRoundTrips:
 
 
 def test_module_entry_point():
+    # the child finds the package where this process found it, installed or not
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "skewenergy", "charpoly", "--construct", "star", "--n", "5"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "5: 1 4 0\n"

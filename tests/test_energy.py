@@ -72,8 +72,15 @@ class TestIntegral:
         assert skew_energy_integral(SkewCharPoly(3, (1, 0))).value == 0.0
 
     def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            skew_energy_integral(SkewCharPoly(2, (1, 1)), tol=0.0)
+        # below 2^-48 no graph with an arc can meet tol; a tol of 1e-200
+        # would put the top grid nodes where x^2 overflows
+        for tol in (0.0, -1.0, math.inf, math.nan, 1e-320, 1e-200, 2.0**-49):
+            with pytest.raises(ValueError, match=r"finite and at least 2\^-48"):
+                skew_energy_integral(SkewCharPoly(2, (1, 1)), tol=tol)
+
+    def test_least_tolerance_accepted(self):
+        res = skew_energy_integral(SkewCharPoly(2, (1, 1)), tol=2.0**-48)
+        assert res.value == pytest.approx(2.0, abs=1e-14)
 
     def test_node_cap_reported(self):
         res = skew_energy_integral(SkewCharPoly(4, (1, 4, 4)), tol=1e-12, node_cap=200)
@@ -289,6 +296,13 @@ class TestCoefficientEnergy:
             2 * math.sqrt(7 + 2 * math.sqrt(3))
         )
         assert energy_from_even_coeffs((1,)) == 0.0
+        # repeated spectra: the oriented 3-cube, +-i sqrt(3) four times
+        # each, and the oriented 4-cube, +-2i eight times each
+        assert energy_from_even_coeffs((1, 12, 54, 108, 81)) == pytest.approx(
+            8 * math.sqrt(3), abs=1e-12
+        )
+        four_cube = tuple(math.comb(8, k) * 4**k for k in range(9))
+        assert energy_from_even_coeffs(four_cube) == pytest.approx(32.0, abs=1e-12)
 
 
 class TestPreciseEnergy:

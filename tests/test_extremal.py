@@ -408,7 +408,7 @@ class TestSwitchingMultiplier:
         assert all(count % 2 ** (8 - 3) == 0 for count in census.values())
         assert sum(census.values()) == 2**8
 
-    def test_object_dtype_scan_in_small_chunks(self):
+    def test_object_dtype_scan_in_small_chunks(self, monkeypatch):
         # 9 arcs leave int64 first at n = 38; 2^3 forest-fixed orientations
         # in chunks of 3.  Isolated vertices only append zero coefficients,
         # so the census equals that of the same arcs on 8 vertices, padded
@@ -417,7 +417,8 @@ class TestSwitchingMultiplier:
         ug = UndirectedGraph(38, core + ((9, 37),))
         small = _full_census(UndirectedGraph(8, core + ((6, 7),)))
         padded = Counter({vec + (0,) * 15: count for vec, count in small.items()})
-        assert orientation_coefficient_census(ug, chunk=3) == padded
+        monkeypatch.setattr(extremal, "_CENSUS_CHUNK", 3)
+        assert orientation_coefficient_census(ug) == padded
 
     def test_every_class_of_7_9(self):
         for ug in enumerate_connected_underlying(7, 9):
