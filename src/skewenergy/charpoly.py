@@ -8,17 +8,17 @@ convention sum (-1)^k a_k x^(n-k) stores identical numbers, since the
 odd terms vanish and (-1)^(2i) = 1; the two conventions agree on
 everything kept here.)
 
-The coefficients are computed exactly by one batched kernel: the
-even coefficients are the elementary symmetric functions of the
-squared singular values, whose power sums are traces of powers of
-S^T S, and Newton's identities turn those traces into coefficients,
-one whole-array product-and-sum per step.  The kernel runs in int64
-when a bound in n and the batch's largest arc count m allows it
-(3 m^(n//2 + 1) < 2^63: every graph up to n = 15, up to 47 arcs at
-n = 20) and on Python integers otherwise.  Every division is checked to be
-exact and the trace parity, the vanishing of e_(h+1) and
-nonnegativity are asserted; a violation raises RuntimeError because
-it can only mean a bug.
+The coefficients are computed exactly in two steps: the even
+coefficients are the elementary symmetric functions of the squared
+singular values, whose power sums are traces of powers of S^T S.  One
+batched numpy kernel takes those traces, in int64 when a bound in n
+and the batch's largest arc count m allows it (3 m^(n//2 + 1) < 2^63:
+every graph up to n = 15, up to 47 arcs at n = 20) and on Python
+integers otherwise.  Newton's identities then turn each distinct trace
+row into coefficients once, on Python integers.  The trace
+parity is asserted, every division is checked to be exact, and the
+vanishing of e_(h+1) and nonnegativity are asserted; a violation
+raises RuntimeError because it can only mean a bug.
 """
 
 from __future__ import annotations
@@ -96,41 +96,33 @@ class QuasiOrder(Enum):
 
 @lru_cache(maxsize=None)
 def _int64_recursion_safe(n: int, m: int) -> bool:
-    """Whether int64 holds the Newton kernel for n x n skew matrices of at most m arcs.
+    """Whether int64 holds the trace kernel for n x n skew matrices of at most m arcs.
 
     With m arcs, M = S^T S has trace 2m, so its eigenvalues (each
     lambda_j^2 twice) are at most m and the power sums satisfy
     p_k <= m^k.  By Cauchy-Schwarz every partial sum of a product entry
     of M^a (at most m^a) or of a trace sum(M^a o M^b) (at most 2 m^(a+b))
-    is bounded the same way, and e_k <= m^k / k!, so each term of a
-    Newton sum, and hence each of its partial sums in any order, stays
-    below e * m^k.  Traces run up to k = h + 1 with h = n // 2, so the
-    kernel fits when 3 m^(h+1) < 2^63.  The bound is keyed on the arc
-    count itself: a sparse n = 20 graph (m <= 47) runs in int64, a dense
-    n = 16 one (m >= 114) does not.
+    is bounded the same way.  Traces run up to k = h + 1 with h = n // 2,
+    so the powers and traces fit when 3 m^(h+1) < 2^63, and so do the
+    coefficients e_k <= m^k / k!.  Newton's identities run on Python
+    integers and need no bound.  The bound is
+    keyed on the arc count itself: a sparse n = 20 graph (m <= 47) runs
+    in int64, a dense n = 16 one (m >= 114) does not.
     """
     return 3 * m ** (n // 2 + 1) < 2**63
 
 
-def _even_coeffs_batch(s: np.ndarray) -> np.ndarray:
-    """Even coefficients (a_0, a_2, ..., a_2h) for a (B, n, n) stack of skew matrices.
+def _trace_batch(s: np.ndarray) -> np.ndarray:
+    """(B, h + 1) traces tr(M^k), k = 1..h + 1, of a (B, n, n) stack of skew matrices.
 
-    With +-i lambda_j the eigenvalues of S and M = S^T S = -S^2, the
-    a_2k are the elementary symmetric functions e_k of the h = n // 2
-    values lambda_j^2, whose power sums are p_k = tr(M^k) / 2.  The
-    h + 1 traces come out as one (B, h + 1) array, since
-    tr(M^(a+b)) = sum(M^a o M^b) needs only the powers up to
-    M^ceil((h+1)/2).  Newton's identities k e_k = sum_i (-1)^(i-1)
-    e_(k-i) p_i then turn them into coefficients, each step k one
-    product-and-sum over the first k stored columns of e (reversed) and
-    of the signed p.  Runs in int64 where _int64_recursion_safe allows
-    it for n and the batch's largest arc count (half the nonzeros), and on
-    Python integers in an object array otherwise, for the whole batch.
-    Raises RuntimeError on an odd trace, a non-exact division, a
-    nonzero e_(h+1) (the trace form of Cayley-Hamilton) or a negative
-    coefficient, because each can only mean a bug.
+    M = S^T S = -S^2 and h = n // 2.  tr(M^(a+b)) = sum(M^a o M^b) needs
+    only the powers up to M^ceil((h+1)/2).  Runs in int64 where
+    _int64_recursion_safe allows it for n and the batch's largest arc
+    count (half the nonzeros), and on Python integers in an object array
+    otherwise, for the whole batch.  Raises RuntimeError on an odd trace,
+    which can only mean a bug.
     """
-    b, n, _ = s.shape
+    n = s.shape[1]
     h = n // 2
     m = (int(np.count_nonzero(s, axis=(1, 2)).max(initial=0)) + 1) // 2
     work = s.astype(np.int64 if _int64_recursion_safe(n, m) else object)
@@ -148,21 +140,54 @@ def _even_coeffs_batch(s: np.ndarray) -> np.ndarray:
     odd = (traces % 2 != 0).any(axis=0)
     if odd.any():
         raise RuntimeError(f"odd trace of M^{int(odd.argmax()) + 1}; this is a bug")
-    # column i - 1 holds (-1)^(i-1) p_i
-    signed_p = traces // 2 * (1 - 2 * (np.arange(h + 1) % 2))
-    e = np.zeros((b, h + 2), dtype=work.dtype)
-    e[:, 0] = 1
+    return traces
+
+
+def _newton(traces: tuple[int, ...], h: int) -> tuple[int, ...]:
+    """Even coefficients (a_0, a_2, ..., a_2h) from one row of _trace_batch.
+
+    With +-i lambda_j the eigenvalues of S, the a_2k are the elementary
+    symmetric functions e_k of the h values lambda_j^2, whose power sums
+    are p_k = tr(M^k) / 2, and Newton's
+    identities k e_k = sum_i (-1)^(i-1) e_(k-i) p_i give them, on Python
+    integers.  Raises RuntimeError on a non-exact division, a nonzero
+    e_(h+1) (the trace form of Cayley-Hamilton) or a negative
+    coefficient, because each can only mean a bug.
+    """
+    # signed_p[i - 1] = (-1)^(i-1) p_i
+    signed_p = [t // 2 if i % 2 == 0 else -(t // 2) for i, t in enumerate(traces)]
+    e = [1]
     for k in range(1, h + 2):
-        acc = (e[:, k - 1 :: -1] * signed_p[:, :k]).sum(axis=1)
-        if (acc % k != 0).any():
+        acc = sum(a * b for a, b in zip(reversed(e), signed_p))
+        quotient, remainder = divmod(acc, k)
+        if remainder:
             raise RuntimeError(f"non-exact division at Newton step {k}; this is a bug")
-        e[:, k] = acc // k
-    if (e[:, h + 1] != 0).any():
+        e.append(quotient)
+    if e[h + 1]:
         raise RuntimeError(f"e_{h + 1} is nonzero (Cayley-Hamilton fails); this is a bug")
-    out = e[:, : h + 1]
-    if (out < 0).any():
+    if any(c < 0 for c in e):
         raise RuntimeError("negative even coefficient; this is a bug")
-    return out
+    return tuple(e[: h + 1])
+
+
+def _even_coeffs_batch(s: np.ndarray) -> np.ndarray:
+    """Even coefficients (a_0, a_2, ..., a_2h) for a (B, n, n) stack of skew matrices.
+
+    _trace_batch takes the traces in one numpy kernel, and _newton turns
+    each distinct trace row into coefficients once per call.  The result
+    has the traces' dtype: int64 where _int64_recursion_safe allows it
+    for the batch, object (Python integers) otherwise.
+    """
+    traces = _trace_batch(s)
+    h = s.shape[1] // 2
+    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
+    rows = []
+    for row in map(tuple, traces.tolist()):
+        coeffs = memo.get(row)
+        if coeffs is None:
+            coeffs = memo[row] = _newton(row, h)
+        rows.append(coeffs)
+    return np.array(rows, dtype=traces.dtype).reshape(len(rows), h + 1)
 
 
 def charpoly(g: OrientedGraph) -> SkewCharPoly:

@@ -63,6 +63,8 @@ def _construct(name: str, n: int | None, m: int | None) -> OrientedGraph:
         if m is None:
             raise ValueError("--construct b-plus needs --m")
         return construct_b_plus(n, m)
+    if m is not None:
+        raise ValueError(f"--construct {name} takes no --m: n fixes its arcs")
     if name == "star":
         return oriented_star(n)
     if name == "path":
@@ -109,6 +111,8 @@ def _resolve_spec(spec: str) -> tuple[str, OrientedGraph]:
             nums = [int(p) for p in parts]
         except ValueError:
             raise ValueError(f"malformed construction spec {spec!r}") from None
+        if len(nums) > 2:
+            raise ValueError(f"construction spec {spec!r} has more than two numbers")
         n = nums[0] if nums else None
         m = nums[1] if len(nums) > 1 else None
         return spec, _construct(head, n, m)

@@ -31,9 +31,14 @@ and psi(x) <= psi(1) x^(2K) for x >= 1, K the top nonzero index, gives
 
     integral of F over (hi, inf)  <=  (ln psi(1) + 2K (hi + 1)) * e^(-hi),
 
-where psi(1) = sum_i a_{2i} is an exact integer.  Each halving's new
-node values are summed with math.fsum, so results are run-to-run
-identical.
+where psi(1) = sum_i a_{2i} is an exact integer.  F is evaluated in
+one sweep over the grid of step 2^-3, where the default tolerance stops
+on most graphs, or over the finest grid that node_cap allows.  The
+nodes lo + j*h are exact floats, so each coarser level's nodes are a
+strided slice of that sweep; past step 2^-3 each halving evaluates its
+new midpoints afresh.  Each level's new node values are summed with
+math.fsum, which is correctly rounded, so the result does not depend on
+how the nodes were evaluated and is run-to-run identical.
 
 Across machines the floats are not bit-stable: numpy's vectorized exp,
 log and log1p may differ from the correctly rounded value by an ulp.
@@ -78,6 +83,10 @@ _TAIL_SHARE = 1e-6
 # 4 * 2^-52 of its exact value (the tests check this against mpmath), and
 # the sums and the scaling add a few units more.
 _ROUNDING = 2.0**-49
+# skew_energy_integral's one sweep covers the grid of step 2^-_SWEEP_LEVELS:
+# at the default tol the rule stops there on most graphs and one level
+# earlier on the rest.
+_SWEEP_LEVELS = 3
 # Working digits of energy_from_even_coeffs_precise.
 _PRECISE_DPS = 60
 
@@ -177,10 +186,12 @@ def skew_energy_integral(
 ) -> IntegralEnergy:
     """Trapezoidal rule for the coefficient-based energy integral in t = ln x.
 
-    The step starts at 1 and halves, each halving evaluating only the new
+    The step starts at 1 and halves, each halving adding only the new
     midpoints, until |T_h - T_2h| plus both tail bounds and a rounding
     allowance is at most tol, or until the next halving would take the
-    node count past node_cap.  Returns the estimate together with the
+    node count past node_cap.  The first _SWEEP_LEVELS halvings read F
+    from one sweep, and F is never evaluated at more than node_cap
+    nodes in all.  Returns the estimate together with the
     node count, that error estimate, and whether it reached tol.  If
     even the step-1 grid exceeds node_cap, no node is evaluated: the
     value is 0 and the error estimate infinite.  tol must be finite and
@@ -201,13 +212,26 @@ def skew_energy_integral(
         x = np.exp(t)
         return x * log_psi_over_x2(coeffs, x)
 
+    # one sweep over the finest grid that fits node_cap, up to step
+    # 2^-_SWEEP_LEVELS; level k's new nodes are the odd multiples of
+    # 2^(levels-k) among its indices
+    levels = _SWEEP_LEVELS
+    while ((nodes - 1) << levels) + 1 > node_cap:
+        levels -= 1
+    sweep = f(lo + 2.0**-levels * np.arange(((nodes - 1) << levels) + 1)).tolist()
     scale = 2.0 / math.pi
     h = 1.0
-    total = math.fsum(f(np.arange(lo, hi + 1.0)))
+    total = math.fsum(sweep[:: 1 << levels])
     value, est_error = scale * total, math.inf
+    level = 0
     while est_error > tol and 2 * nodes - 1 <= node_cap:
         h /= 2
-        total += math.fsum(f(lo + h * np.arange(1, 2 * nodes - 1, 2)))
+        level += 1
+        if level <= levels:
+            stride = 1 << (levels - level)
+            total += math.fsum(sweep[stride :: 2 * stride])
+        else:
+            total += math.fsum(f(lo + h * np.arange(1, 2 * nodes - 1, 2)))
         nodes = 2 * nodes - 1
         prev, value = value, scale * h * total
         est_error = abs(value - prev) + scale * (left + right) + _ROUNDING * value

@@ -53,7 +53,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .charpoly import QuasiOrder, SkewCharPoly, _even_coeffs_batch, charpoly, quasi_compare
+from .charpoly import QuasiOrder, SkewCharPoly, _newton, _trace_batch, charpoly, quasi_compare
 from .energy import energy_from_even_coeffs, energy_from_even_coeffs_precise
 from .graphs import UndirectedGraph, construct_b_plus, construct_o_plus
 # count_quadrangles is a public name here too (perfbench/spans.py wraps it),
@@ -73,7 +73,7 @@ __all__ = [
     "crossover_table",
 ]
 
-DEFAULT_MAX_N = 8
+DEFAULT_MAX_N = 9
 _ORIENTATION_GUARD = 30  # a census stands for 2^m orientations
 _CENSUS_CHUNK = 4096
 _CANON_CHUNK = 256  # children per _canonical_batch call; larger ones raise peak RSS
@@ -385,7 +385,7 @@ def _class_keys(n: int, m: int, max_n: int) -> np.ndarray:
     if n > max_n:
         raise ValueError(
             f"exhaustive enumeration is capped at n = {max_n} (got n = {n}); "
-            "pass max_n explicitly to override"
+            "the library's max_n argument raises the cap"
         )
     if not (1 <= m <= comb(n, 2)):
         raise ValueError(f"need 1 <= m <= C(n,2) = {comb(n, 2)}, got m = {m}")
@@ -458,8 +458,11 @@ def orientation_coefficient_census(ug: UndirectedGraph) -> Counter:
     class.  Switchings act freely in orbits of 2^|F| orientations for a
     spanning forest F, and each orbit holds exactly one orientation with
     the forest edges directed as listed.  So only those are scanned,
-    varying the other m - |F| edges in chunks through the batched
-    kernel, and each count is multiplied by 2^|F|.  Every forest edge
+    varying the other m - |F| edges in chunks through the batched trace
+    kernel, and each count is multiplied by 2^|F|.  The scan counts
+    trace rows; Newton's identities map the traces one-to-one onto the
+    coefficients, so each distinct row is converted once, at the end.
+    Every forest edge
     (u, v) is directed u -> v; edge i of the rest is directed as listed
     when bit i of the code is 0 and reversed when it is 1.  The result
     maps coefficient tuples to the number of orientations attaining them.
@@ -471,7 +474,7 @@ def orientation_coefficient_census(ug: UndirectedGraph) -> Counter:
     forest, rest = _spanning_forest(ug)
     f_tails, f_heads = np.array(forest, dtype=np.intp).reshape(-1, 2).T
     r_tails, r_heads = np.array(rest, dtype=np.intp).reshape(-1, 2).T
-    counts: Counter = Counter()
+    traces: Counter = Counter()
     total = 1 << len(rest)
     for start in range(0, total, _CENSUS_CHUNK):
         codes = np.arange(start, min(start + _CENSUS_CHUNK, total), dtype=np.int64)
@@ -481,12 +484,13 @@ def orientation_coefficient_census(ug: UndirectedGraph) -> Counter:
         signs = 1 - 2 * ((codes[:, None] >> np.arange(len(rest), dtype=np.int64)) & 1)
         s[:, r_tails, r_heads] = signs
         s[:, r_heads, r_tails] = -signs
-        block = _even_coeffs_batch(s)
-        if ug.n >= 2 and not (block[:, 1] == ug.m).all():
-            raise RuntimeError("a_2 disagrees with the arc count; this is a bug")
-        counts.update(map(tuple, block.tolist()))
+        traces.update(map(tuple, _trace_batch(s).tolist()))
     weight = 1 << len(forest)
-    return Counter({vec: count * weight for vec, count in counts.items()})
+    h = ug.n // 2
+    counts = Counter({_newton(row, h): count * weight for row, count in traces.items()})
+    if ug.n >= 2 and any(vec[1] != ug.m for vec in counts):
+        raise RuntimeError("a_2 disagrees with the arc count; this is a bug")
+    return counts
 
 
 # ---------------------------------------------------------------------------

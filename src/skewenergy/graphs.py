@@ -201,9 +201,9 @@ def skew_adjacency(g: OrientedGraph) -> np.ndarray:
     copy.
     """
     s = np.zeros((g.n, g.n), dtype=np.int64)
-    for t, h in g.arcs:
-        s[t, h] = 1
-        s[h, t] = -1
+    tails, heads = np.array(g.arcs, dtype=np.intp).reshape(-1, 2).T
+    s[tails, heads] = 1
+    s[heads, tails] = -1
     s.flags.writeable = False
     return s
 

@@ -240,18 +240,20 @@ def coefficient_by_expansion(g: OrientedGraph, i: int) -> int:
     weight times total(avail - C, need - |C|).  Weights multiply over
     components and the sub-sum depends on nothing but (avail, need), so
     the recursion memoizes on that pair, per call.  The adjacency and
-    out-neighbour masks are built once per call, and _even_cycles_at
-    hands each cycle over with its weight already read off its search
-    path.
+    out-neighbour masks are built once per call, in one pass over the
+    arcs, and _even_cycles_at hands each cycle over with its weight
+    already read off its search path.
     """
     if i % 2:
         raise ValueError(f"basic subgraphs have even order, got i={i}")
     if not (0 <= i <= g.n):
         raise ValueError(f"i must lie in [0, {g.n}], got {i}")
-    adj = underlying(g).adjacency_masks()
+    adj = [0] * g.n
     out = [0] * g.n
     for t, h in g.arcs:
         out[t] |= 1 << h
+        adj[t] |= 1 << h
+        adj[h] |= 1 << t
     memo: dict[tuple[int, int], int] = {}
 
     def total(avail: int, need: int) -> int:

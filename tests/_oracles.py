@@ -6,14 +6,17 @@ Faddeev-LeVerrier recursion, orientation censuses through the full
 2^m stream, matchings and quadrangles through raw subset scans,
 isomorphism through networkx's VF2, and the subgraph expansion through
 a list of every basic subgraph, and canonical forms through a scalar
-search over vertex orders.  One exception shares production code: the
+search over vertex orders.  Two exceptions share production code: the
 full-census certificate shares the per-class census and the verdict with
-the class-bound scan it checks.  Slow and simple on purpose.
+the class-bound scan it checks, and the trapezoid rule by halving shares
+the integrand and the truncation with the one-sweep rule it checks.
+Slow and simple on purpose.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -24,7 +27,14 @@ from typing import Union
 
 import numpy as np
 
-from skewenergy.charpoly import charpoly
+from skewenergy.charpoly import SkewCharPoly, charpoly
+from skewenergy.energy import (
+    _ROUNDING,
+    _TAIL_SHARE,
+    IntegralEnergy,
+    _truncation,
+    log_psi_over_x2,
+)
 from skewenergy.extremal import (
     MinimalityCertificate,
     _decide,
@@ -525,3 +535,33 @@ def enumerate_basic_subgraphs(g: OrientedGraph, i: int) -> list[BasicSubgraph]:
 
     extend((1 << g.n) - 1, i, [])
     return out
+
+
+def trapezoid_by_halving(p: SkewCharPoly, tol: float, node_cap: int) -> IntegralEnergy:
+    """skew_energy_integral's rule evaluated level by level: each halving
+    of the step evaluates F afresh at its new midpoints."""
+    coeffs = [int(c) for c in p.coeffs]
+    if not any(coeffs[1:]):
+        return IntegralEnergy(value=0.0, nodes=0, est_error=0.0, tolerance_met=True)
+    lo, hi, left, right = _truncation(coeffs, _TAIL_SHARE * tol)
+    nodes = hi - lo + 1
+    if nodes > node_cap:
+        return IntegralEnergy(value=0.0, nodes=0, est_error=math.inf, tolerance_met=False)
+
+    def f(t: np.ndarray) -> np.ndarray:
+        x = np.exp(t)
+        return x * log_psi_over_x2(coeffs, x)
+
+    scale = 2.0 / math.pi
+    h = 1.0
+    total = math.fsum(f(np.arange(lo, hi + 1.0)))
+    value, est_error = scale * total, math.inf
+    while est_error > tol and 2 * nodes - 1 <= node_cap:
+        h /= 2
+        total += math.fsum(f(lo + h * np.arange(1, 2 * nodes - 1, 2)))
+        nodes = 2 * nodes - 1
+        prev, value = value, scale * h * total
+        est_error = abs(value - prev) + scale * (left + right) + _ROUNDING * value
+    return IntegralEnergy(
+        value=value, nodes=nodes, est_error=est_error, tolerance_met=est_error <= tol
+    )

@@ -1,5 +1,6 @@
 """Exact characteristic polynomials, recurrences, and the quasi-order."""
 
+import importlib
 import random
 from math import comb
 
@@ -104,6 +105,21 @@ class TestCharpoly:
             full = charpoly_interpolated(skew_adjacency(g).tolist())
             assert p.coeffs == tuple(full[k] for k in range(0, g.n + 1, 2))
 
+# the package exports the function charpoly under the module's name
+charpoly_module = importlib.import_module("skewenergy.charpoly")
+
+# non-skew members that each trip one check of the kernel
+CORRUPT_MEMBERS = [
+    ([[1, 0], [0, 0]], "odd trace"),
+    ([[1, 0], [1, 1]], "e_2 is nonzero"),
+    ([[1, -1], [0, -1]], "negative"),
+    (
+        [[-1, 0, 1, -1, 0], [1, -1, 1, -1, 0], [0, 1, -1, 0, -1],
+         [1, -1, 0, 0, -1], [0, 1, 1, -1, -1]],
+        "non-exact division",
+    ),
+]
+
 
 class TestBatchedRecursion:
     def test_matches_scalar(self):
@@ -156,24 +172,40 @@ class TestBatchedRecursion:
         assert tuple(block[0]) == charpoly(sparse).coeffs
         assert tuple(block[1]) == charpoly(dense).coeffs
 
-    @pytest.mark.parametrize(
-        "corrupt,match",
-        [
-            ([[1, 0], [0, 0]], "odd trace"),
-            ([[1, 0], [1, 1]], "e_2 is nonzero"),
-            ([[1, -1], [0, -1]], "negative"),
-            (
-                [[-1, 0, 1, -1, 0], [1, -1, 1, -1, 0], [0, 1, -1, 0, -1],
-                 [1, -1, 0, 0, -1], [0, 1, 1, -1, -1]],
-                "non-exact division",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("corrupt,match", CORRUPT_MEMBERS)
     def test_non_skew_member_trips_a_check(self, corrupt, match):
         bad = np.array(corrupt, dtype=np.int64)
         good = skew_adjacency(oriented_path(len(bad)))
         with pytest.raises(RuntimeError, match=match):
             _even_coeffs_batch(np.stack([good, bad]))
+
+    @pytest.mark.parametrize("corrupt,match", CORRUPT_MEMBERS)
+    @pytest.mark.parametrize("place", ["first", "repeated"])
+    def test_corrupt_row_first_or_repeated(self, corrupt, match, place):
+        # a corrupt row trips its check wherever it sits, and also when
+        # its coefficients would be looked up rather than computed
+        bad = np.array(corrupt, dtype=np.int64)
+        good = skew_adjacency(oriented_path(len(bad)))
+        rows = [bad, good] if place == "first" else [good, bad, good, bad, bad]
+        with pytest.raises(RuntimeError, match=match):
+            _even_coeffs_batch(np.stack(rows))
+
+    def test_newton_runs_once_per_distinct_trace_row(self, monkeypatch):
+        graphs = [oriented_cycle(6, "odd"), oriented_path(6), oriented_cycle(6, "even")]
+        mats = np.stack([skew_adjacency(graphs[i]) for i in (0, 1, 0, 2, 1, 0, 0)])
+        newton, rows = charpoly_module._newton, []
+
+        def counted(traces, h):
+            rows.append(traces)
+            return newton(traces, h)
+
+        monkeypatch.setattr(charpoly_module, "_newton", counted)
+        block = _even_coeffs_batch(mats)
+        assert len(rows) == len(set(rows)) == 3
+        assert block.dtype == np.int64
+        assert [tuple(row) for row in block.tolist()] == [
+            charpoly(graphs[i]).coeffs for i in (0, 1, 0, 2, 1, 0, 0)
+        ]
 
 
 class TestDeleteArcIdentity:

@@ -87,6 +87,28 @@ class TestExitCodes:
         assert captured.out == ""
         assert "at least 2^-48" in captured.err
 
+    @pytest.mark.parametrize("name", ["star", "path", "cycle-odd", "cycle-even"])
+    def test_arc_count_for_a_fixed_construction_is_4(self, name, capsys):
+        # the arcs of these constructions follow from n; a given m would be ignored
+        for argv in (
+            ["energy", "--construct", name, "--n", "6", "--m", "3"],
+            ["charpoly", "--construct", name, "--n", "6", "--m", "6"],
+            ["construct", "--name", name, "--n", "6", "--m", "3"],
+            ["compare", f"{name}:6:3", "path:6"],
+            ["compare", "path:6", f"{name}:6:6"],
+        ):
+            assert main(argv) == 4, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{name} takes no --m" in captured.err
+
+    @pytest.mark.parametrize("spec", ["o-plus:6:7:9", "b-plus:6:7:0", "star:6:5:4", "path:5:4:3:2"])
+    def test_spec_with_more_than_two_numbers_is_4(self, spec, capsys):
+        assert main(["compare", spec, "star:6"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "more than two numbers" in captured.err
+
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["charpoly", "--bogus"])

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from skewenergy.charpoly import QuasiOrder, SkewCharPoly, charpoly, quasi_compare
+from skewenergy import energy
 from skewenergy.energy import (
+    _SWEEP_LEVELS,
     _truncation,
     adjacency_energy_tree,
     energy_from_even_coeffs,
@@ -31,7 +33,7 @@ from skewenergy.graphs import (
     underlying,
 )
 
-from _oracles import random_oriented, random_tree_edges
+from _oracles import random_oriented, random_tree_edges, trapezoid_by_halving
 
 
 class TestSpectral:
@@ -185,6 +187,59 @@ class TestIntegral:
                 y = xe * xe
                 exact = mp.log1p(y * mp.polyval(tail, y)) / xe
                 assert abs(got - exact) <= 4 * 2.0**-52 * exact
+
+
+def _seeded_polys() -> list[SkewCharPoly]:
+    rng = random.Random(4010)
+    polys = [charpoly(random_oriented(rng, rng.randint(2, 20))) for _ in range(12)]
+    fixed = [(1, 1), (1, 0), (1, 12, 54, 108, 81)]
+    return polys + [SkewCharPoly(2 * (len(c) - 1), c) for c in fixed]
+
+
+SWEEP_TOLS = (1e-6, 1e-9, 1e-12, 1e-14)
+SWEEP_CAPS = (50, 100, 200, 1000, 2**20)
+
+
+class TestSweep:
+    """skew_energy_integral evaluates F in one sweep over the grid of step
+    2^-_SWEEP_LEVELS and reads every coarser level off it."""
+
+    @pytest.mark.parametrize("node_cap", SWEEP_CAPS)
+    @pytest.mark.parametrize("tol", SWEEP_TOLS)
+    def test_equals_halving_field_for_field(self, tol, node_cap):
+        for p in _seeded_polys():
+            assert skew_energy_integral(p, tol, node_cap) == trapezoid_by_halving(
+                p, tol, node_cap
+            ), p
+
+    def test_evaluations_stay_within_the_cap(self, monkeypatch):
+        inner, sizes = energy.log_psi_over_x2, []
+
+        def counted(coeffs, x):
+            sizes.append(len(x))
+            return inner(coeffs, x)
+
+        monkeypatch.setattr(energy, "log_psi_over_x2", counted)
+        past_sweep = 0
+        for p in _seeded_polys():
+            for tol in SWEEP_TOLS:
+                for node_cap in SWEEP_CAPS:
+                    sizes.clear()
+                    res = skew_energy_integral(p, tol, node_cap)
+                    assert sum(sizes) <= node_cap
+                    if res.nodes == 0:
+                        assert sizes == []
+                        continue
+                    lo, hi, _, _ = _truncation(list(p.coeffs), energy._TAIL_SHARE * tol)
+                    level = ((res.nodes - 1) // (hi - lo)).bit_length() - 1
+                    assert res.nodes == ((hi - lo) << level) + 1
+                    if level <= _SWEEP_LEVELS:
+                        assert len(sizes) == 1
+                    else:
+                        past_sweep += 1
+                        assert len(sizes) == 1 + level - _SWEEP_LEVELS
+        # the grid also reaches the levels past the sweep
+        assert past_sweep > 0
 
 
 class TestDerivativeFormSpotCheck:

@@ -338,14 +338,16 @@ class TestClassEnumeration:
                 assert ug.n == n and ug.m == m and ug.is_connected()
 
     def test_guards(self):
-        with pytest.raises(ValueError, match="capped"):
-            enumerate_connected_underlying(9, 10)
+        with pytest.raises(ValueError, match="capped at n = 9"):
+            enumerate_connected_underlying(10, 10)
         with pytest.raises(ValueError, match="C\\(n,2\\)"):
             enumerate_connected_underlying(4, 7)
         with pytest.raises(ValueError, match="C\\(n,2\\)"):
             enumerate_connected_underlying(4, 0)
-        # the cap is adjustable
-        assert len(enumerate_connected_underlying(9, 8, max_n=9)) == 47
+        # n = 9 sits under the default cap, which is adjustable
+        assert len(enumerate_connected_underlying(9, 8)) == 47
+        with pytest.raises(ValueError, match="capped at n = 8"):
+            enumerate_connected_underlying(9, 8, max_n=8)
 
 
 class TestOrientations:
@@ -423,6 +425,31 @@ class TestSwitchingMultiplier:
     def test_every_class_of_7_9(self):
         for ug in enumerate_connected_underlying(7, 9):
             assert orientation_coefficient_census(ug) == _full_census(ug), ug.edges
+
+    def test_k7_converts_each_distinct_trace_row_once(self, monkeypatch):
+        # the 2^15 forest-fixed orientations of K_7 give 11 trace rows
+        newton, rows = extremal._newton, []
+
+        def counted(traces, h):
+            rows.append(traces)
+            return newton(traces, h)
+
+        monkeypatch.setattr(extremal, "_newton", counted)
+        k7 = UndirectedGraph(7, tuple((u, v) for u in range(7) for v in range(u + 1, 7)))
+        census = orientation_coefficient_census(k7)
+        assert len(rows) == len(set(rows)) == 11
+        assert census == K7_CENSUS
+        assert sum(census.values()) == 2**21
+
+
+# the census of K_7 as the kernel gave it when it ran Newton's identities
+# on every row
+K7_CENSUS = {
+    (1, 21, 35, 7): 46080, (1, 21, 67, 39): 107520, (1, 21, 83, 23): 322560,
+    (1, 21, 99, 7): 107520, (1, 21, 99, 71): 322560, (1, 21, 99, 135): 35840,
+    (1, 21, 115, 55): 64512, (1, 21, 115, 119): 645120, (1, 21, 115, 183): 107520,
+    (1, 21, 131, 231): 322560, (1, 21, 147, 343): 15360,
+}
 
 
 class TestPredictedFamily:
