@@ -220,6 +220,7 @@ def _cmd_verify_oracle(args) -> int:
         print(f"{i}\t{lhs}\t{rhs}\t{str(match).lower()}")
     if g.n >= 4:
         b = a4_bound_check(g)
+        ok = ok and b.a4 == poly.coefficient(4)
         print(f"a4-bound\t{b.lower_bound}\ta4={b.a4}\ttight={str(b.tight).lower()}")
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
@@ -289,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify-oracle",
-        help="cross-check exact coefficients against the subgraph expansion",
+        help="cross-check exact coefficients against the subgraph expansion, a_4 against quadrangles",
     )
     _add_source_args(p)
     p.set_defaults(func=_cmd_verify_oracle)

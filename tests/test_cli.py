@@ -135,6 +135,21 @@ class TestExitCodes:
         assert main(argv) == 5
         assert f"internal error: {exc.__name__}: boom" in capsys.readouterr().err
 
+    def test_verify_oracle_fails_on_a_wrong_a4(self, capsys, monkeypatch):
+        # the per-index rows all match; only the a4-bound row is wrong
+        right = cli.a4_bound_check
+
+        def wrong(g):
+            b = right(g)
+            return dataclasses.replace(b, a4=b.a4 + 4)
+
+        monkeypatch.setattr(cli, "a4_bound_check", wrong)
+        argv = ["verify-oracle", "--construct", "o-plus", "--n", "6", "--m", "7"]
+        assert main(argv) == cli.EXIT_VERIFY_FAILED
+        rows = capsys.readouterr().out.splitlines()
+        assert all(row.endswith("\ttrue") for row in rows[1:-1])
+        assert rows[-1] == "a4-bound\t4\ta4=8\ttight=true"
+
     def test_source_must_be_unique(self, tmp_path, capsys):
         p = tmp_path / "g.graph"
         p.write_text("2 1\n0 1\n")

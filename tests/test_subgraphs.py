@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 from skewenergy.charpoly import charpoly
+from skewenergy.extremal import enumerate_connected_underlying, orientation_coefficient_census
 from skewenergy.graphs import (
     build,
     construct_o_plus,
@@ -33,6 +34,7 @@ from _oracles import (
     brute_matchings,
     brute_quadrangle_edge_sets,
     enumerate_basic_subgraphs,
+    enumerate_orientations,
     random_oriented,
     random_tree_edges,
 )
@@ -318,12 +320,36 @@ class TestA4Bound:
         with pytest.raises(ValueError):
             a4_bound_check(build(3, [(0, 1)]))
 
-    def test_bound_never_exceeded(self):
+    def test_a4_matches_charpoly(self):
+        # a4 off the quadrangle parities against charpoly's trace route,
+        # and for n <= 8 against the subgraph expansion
         rng = random.Random(2009)
-        for _ in range(40):
-            g = random_oriented(rng, rng.randint(4, 8))
-            b = a4_bound_check(g)
-            assert b.a4 >= b.lower_bound
+        for n in range(4, 21):
+            for _ in range(6):
+                g = random_oriented(rng, n)
+                a4 = a4_bound_check(g).a4
+                assert a4 == charpoly(g).coefficient(4), g
+                if n <= 8:
+                    assert a4 == coefficient_by_expansion(g, 4), g
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_every_orientation_of_every_small_class(self, n):
+        # tight exactly when cycle_parity finds every quadrangle evenly
+        # oriented, and the a4 values over all 2^m orientations of a class
+        # are those of its coefficient census
+        for m in range(n - 1, comb(n, 2) + 1):
+            for ug in enumerate_connected_underlying(n, m, max_n=n):
+                quads = quadrangles(ug)
+                a4s = Counter()
+                for g in enumerate_orientations(ug):
+                    b = a4_bound_check(g)
+                    even = all(cycle_parity(g, q) is CycleParity.EVENLY_ORIENTED for q in quads)
+                    assert b.tight == even == (b.a4 == b.lower_bound), g
+                    a4s[b.a4] += 1
+                census = Counter()
+                for vec, count in orientation_coefficient_census(ug).items():
+                    census[vec[2]] += count
+                assert a4s == census, ug
 
     def test_lower_bound_from_matchings_and_quadrangles(self):
         # pins the closed form for M(G,2) against the matching recursion
