@@ -11,14 +11,21 @@ everything kept here.)
 The coefficients are computed exactly in two steps: the even
 coefficients are the elementary symmetric functions of the squared
 singular values, whose power sums are traces of powers of S^T S.  One
-batched numpy kernel takes those traces, in int64 when a bound in n
-and the batch's largest arc count m allows it (3 m^(n//2 + 1) < 2^63:
-every graph up to n = 15, up to 47 arcs at n = 20) and on Python
-integers otherwise.  Newton's identities then turn each distinct trace
-row into coefficients once, on Python integers.  The trace
-parity is asserted, every division is checked to be exact, and the
-vanishing of e_(h+1) and nonnegativity are asserted; a violation
-raises RuntimeError because it can only mean a bug.
+batched numpy kernel (_trace_batch) takes those traces, in int64 when a
+bound in n and the batch's largest arc count m allows it
+(3 m^(n//2 + 1) < 2^63: every graph up to n = 15, up to 47 arcs at
+n = 20) and on Python integers otherwise.  Newton's identities (_newton)
+then turn a trace row into coefficients, on Python integers.  charpoly
+runs the kernel on one matrix; the orientation census
+(extremal.orientation_coefficient_census) batches it and converts each
+distinct trace row once.  The trace parity is asserted, every division
+is checked to be exact, and the vanishing of e_(h+1) and nonnegativity
+are asserted; a violation raises RuntimeError because it can only mean
+a bug.
+
+The deletion identity for an arc on no even cycle assembles charpoly(g)
+from two smaller graphs (charpoly_delete_arc); the pendant recurrence
+(pendant_coefficients) is that identity at a pendant arc.
 """
 
 from __future__ import annotations
@@ -170,29 +177,9 @@ def _newton(traces: tuple[int, ...], h: int) -> tuple[int, ...]:
     return tuple(e[: h + 1])
 
 
-def _even_coeffs_batch(s: np.ndarray) -> np.ndarray:
-    """Even coefficients (a_0, a_2, ..., a_2h) for a (B, n, n) stack of skew matrices.
-
-    _trace_batch takes the traces in one numpy kernel, and _newton turns
-    each distinct trace row into coefficients once per call.  The result
-    has the traces' dtype: int64 where _int64_recursion_safe allows it
-    for the batch, object (Python integers) otherwise.
-    """
-    traces = _trace_batch(s)
-    h = s.shape[1] // 2
-    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
-    rows = []
-    for row in map(tuple, traces.tolist()):
-        coeffs = memo.get(row)
-        if coeffs is None:
-            coeffs = memo[row] = _newton(row, h)
-        rows.append(coeffs)
-    return np.array(rows, dtype=traces.dtype).reshape(len(rows), h + 1)
-
-
 def charpoly(g: OrientedGraph) -> SkewCharPoly:
     """Exact even-offset coefficients of det(xI - S(g))."""
-    even = tuple(int(c) for c in _even_coeffs_batch(skew_adjacency(g)[None])[0])
+    even = _newton(tuple(_trace_batch(skew_adjacency(g)[None])[0].tolist()), g.n // 2)
     if g.n >= 2 and even[1] != g.m:
         raise RuntimeError(f"a_2 = {even[1]} does not equal the arc count {g.m}; this is a bug")
     return SkewCharPoly(g.n, even)
@@ -202,6 +189,18 @@ def _coeff_or_zero(p: SkewCharPoly, i: int) -> int:
     if i < 0 or i > p.n:
         return 0
     return p.coefficient(i)
+
+
+def _deletion_identity(g: OrientedGraph, arc: tuple[int, int]) -> SkewCharPoly:
+    """charpoly(g) as charpoly(g - e) plus charpoly(g - u - v), aligned by
+    powers of x, for a present arc e = (u, v) on no even cycle; unchecked."""
+    minus_arc = charpoly(delete_arc(g, arc))
+    minus_ends = SkewCharPoly(0, (1,)) if g.n == 2 else charpoly(delete_vertices(g, arc))
+    coeffs = tuple(
+        _coeff_or_zero(minus_arc, 2 * i) + _coeff_or_zero(minus_ends, 2 * (i - 1))
+        for i in range(g.n // 2 + 1)
+    )
+    return SkewCharPoly(g.n, coeffs)
 
 
 def charpoly_delete_arc(g: OrientedGraph, arc: tuple[int, int]) -> SkewCharPoly:
@@ -219,38 +218,22 @@ def charpoly_delete_arc(g: OrientedGraph, arc: tuple[int, int]) -> SkewCharPoly:
         raise ValueError(
             f"arc ({u},{v}) lies on an even cycle; the deletion identity does not apply"
         )
-    minus_arc = charpoly(delete_arc(g, (u, v)))
-    if g.n == 2:
-        minus_ends = SkewCharPoly(0, (1,))
-    else:
-        minus_ends = charpoly(delete_vertices(g, (u, v)))
-    coeffs = tuple(
-        _coeff_or_zero(minus_arc, 2 * i) + _coeff_or_zero(minus_ends, 2 * (i - 1))
-        for i in range(g.n // 2 + 1)
-    )
-    return SkewCharPoly(g.n, coeffs)
+    return _deletion_identity(g, (u, v))
 
 
 def pendant_coefficients(g: OrientedGraph, u: int, v: int) -> SkewCharPoly:
     """Assemble charpoly(g) from the pendant recurrence at leaf v attached to u.
 
     a_i(g) = a_i(g - v) + a_{i-2}(g - v - u), indices read within each
-    graph's own degree.
+    graph's own degree.  This is the deletion identity at the arc
+    between u and v (g - e is g - v with v isolated), and a pendant arc
+    lies on no cycle, so no even-cycle search is run.
     """
     u, v = int(u), int(v)
     adj = underlying(g).adjacency_sets()
     if not (0 <= v < g.n) or adj[v] != {u}:
         raise ValueError(f"vertex {v} is not a pendant vertex attached to {u}")
-    minus_leaf = charpoly(delete_vertices(g, (v,)))
-    if g.n == 2:
-        minus_both = SkewCharPoly(0, (1,))
-    else:
-        minus_both = charpoly(delete_vertices(g, (v, u)))
-    coeffs = tuple(
-        _coeff_or_zero(minus_leaf, 2 * i) + _coeff_or_zero(minus_both, 2 * i - 2)
-        for i in range(g.n // 2 + 1)
-    )
-    return SkewCharPoly(g.n, coeffs)
+    return _deletion_identity(g, (u, v) if (u, v) in g.arc_set else (v, u))
 
 
 def quasi_compare(p: SkewCharPoly, q: SkewCharPoly) -> QuasiOrder:

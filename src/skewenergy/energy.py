@@ -188,13 +188,15 @@ def skew_energy_integral(
 
     The step starts at 1 and halves, each halving adding only the new
     midpoints, until |T_h - T_2h| plus both tail bounds and a rounding
-    allowance is at most tol, or until the next halving would take the
-    node count past node_cap.  The first _SWEEP_LEVELS halvings read F
-    from one sweep, and F is never evaluated at more than node_cap
-    nodes in all.  Returns the estimate together with the
-    node count, that error estimate, and whether it reached tol.  If
-    even the step-1 grid exceeds node_cap, no node is evaluated: the
-    value is 0 and the error estimate infinite.  tol must be finite and
+    allowance is at most tol, until the rounding allowance alone reaches
+    tol and the last halving moved the value by no more than it, or
+    until the next halving would take the node count past node_cap.
+    The first _SWEEP_LEVELS halvings read F from one sweep, and F is
+    never evaluated at more than node_cap nodes in all.  Returns the
+    estimate together with the node count, that error estimate, and
+    whether it reached tol.  If even the step-1 grid exceeds node_cap,
+    no node is evaluated: the value is 0 and the error estimate
+    infinite.  tol must be finite and
     at least 2^-48: est_error includes _ROUNDING * value, and every graph
     with an arc has energy at least 2, so no smaller tol can be met.
     """
@@ -235,6 +237,8 @@ def skew_energy_integral(
         nodes = 2 * nodes - 1
         prev, value = value, scale * h * total
         est_error = abs(value - prev) + scale * (left + right) + _ROUNDING * value
+        if abs(value - prev) <= _ROUNDING * value and _ROUNDING * value >= tol:
+            break  # the rounding allowance alone is past tol; halving cannot help
     return IntegralEnergy(
         value=value,
         nodes=nodes,

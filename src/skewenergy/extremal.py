@@ -40,7 +40,7 @@ Completeness is checked at run time: over the classes, sum n!/|Aut| must
 equal the labelled connected count, or enumeration raises RuntimeError.
 Keys are decoded into graphs only for enumerate_connected_underlying's
 callers and for the few classes a scan reports or censuses.
-Exhaustive by construction, hence the default cap at n = 8.
+Exhaustive by construction, hence the default cap at n = 9 (DEFAULT_MAX_N).
 """
 
 from __future__ import annotations
@@ -187,24 +187,16 @@ def _class_graphs(keys: np.ndarray) -> list[UndirectedGraph]:
 
 
 @lru_cache(maxsize=None)
-def labelled_graph_count(n: int, m: int) -> int:
-    """Labelled simple graphs with n vertices and m edges."""
-    if n < 0 or m < 0:
-        return 0
-    return comb(comb(n, 2), m)
-
-
-@lru_cache(maxsize=None)
 def labelled_connected_count(n: int, m: int) -> int:
     """Labelled connected graphs with n vertices, m edges, by the
     component-of-vertex-1 recurrence."""
     if n == 0:
         return 1 if m == 0 else 0
-    total = labelled_graph_count(n, m)
+    total = comb(comb(n, 2), m)
     for k in range(1, n):
         ways = comb(n - 1, k - 1)
         for j in range(m + 1):
-            total -= ways * labelled_connected_count(k, j) * labelled_graph_count(n - k, m - j)
+            total -= ways * labelled_connected_count(k, j) * comb(comb(n - k, 2), m - j)
     return total
 
 

@@ -4,7 +4,8 @@ An oriented graph is a simple undirected graph together with a chosen
 direction for each edge.  Vertices are the integers 0..n-1 throughout;
 the hub and apex vertices of the built-in extremal constructions sit at
 indices 0 and 1.  All types here are immutable, so one instance can be
-shared by every caller, as the class enumeration's cache does.
+shared by every caller.  (The class enumeration caches no graphs: it
+keeps each (n, m)'s classes as an int64 array of canonical keys.)
 
 Text interchange format ("oriented edge list"): the first significant
 line is "n m", followed by exactly m lines "t h" giving the tail and

@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import OrientedGraph, UndirectedGraph, underlying
+from .graphs import OrientedGraph, UndirectedGraph
 
 __all__ = [
     "CycleParity",
@@ -121,8 +121,13 @@ def quadrangles(ug: UndirectedGraph) -> list[tuple[int, int, int, int]]:
 
 
 def count_quadrangles(ug: UndirectedGraph) -> int:
-    """Number of 4-cycles."""
-    return len(quadrangles(ug))
+    """Number of 4-cycles: half the sum of C(|N(a) & N(c)|, 2) over pairs
+    a < c, since each pair of common neighbours of a and c closes one
+    4-cycle with diagonal ac, and each 4-cycle has two diagonals."""
+    adj = ug.adjacency_masks()
+    return sum(
+        comb((adj[a] & adj[c]).bit_count(), 2) for a, c in combinations(range(ug.n), 2)
+    ) // 2
 
 
 def _two_matching_count(m: int, degrees: Iterable[int]) -> int:
@@ -134,9 +139,18 @@ def _two_matching_count(m: int, degrees: Iterable[int]) -> int:
     return comb(m, 2) - sum(comb(d, 2) for d in degrees)
 
 
-def _arcs_along(arcs: frozenset[tuple[int, int]], seq: Sequence[int]) -> int:
-    """How many arcs run forward along the cyclic vertex sequence seq."""
-    return sum(map(arcs.__contains__, zip(seq, (*seq[1:], seq[0]))))
+def _arc_masks(g: OrientedGraph) -> tuple[list[int], list[int]]:
+    """Adjacency and out-neighbour bitmasks, built in one pass over the arcs.
+
+    out[t] masks the heads of the arcs at tail t.
+    """
+    adj = [0] * g.n
+    out = [0] * g.n
+    for t, h in g.arcs:
+        out[t] |= 1 << h
+        adj[t] |= 1 << h
+        adj[h] |= 1 << t
+    return adj, out
 
 
 def cycle_parity(g: OrientedGraph, cycle: Sequence[int]) -> CycleParity:
@@ -147,11 +161,12 @@ def cycle_parity(g: OrientedGraph, cycle: Sequence[int]) -> CycleParity:
         raise ValueError(f"{cycle!r} is not a simple cycle")
     if k % 2:
         raise ValueError(f"orientation parity is undefined for odd cycle length {k}")
-    arcs = g.arc_set
+    adj, out = _arc_masks(g)
+    along = 0
     for u, v in zip(seq, seq[1:] + seq[:1]):
-        if (u, v) not in arcs and (v, u) not in arcs:
+        if not (0 <= u < g.n and 0 <= v < g.n) or not adj[u] >> v & 1:
             raise ValueError(f"{cycle!r} is not a cycle: {u} and {v} are not adjacent")
-    along = _arcs_along(arcs, seq)
+        along += out[u] >> v & 1
     return CycleParity.ODDLY_ORIENTED if along % 2 else CycleParity.EVENLY_ORIENTED
 
 
@@ -164,7 +179,7 @@ def arc_on_even_cycle(g: OrientedGraph, arc: tuple[int, int]) -> bool:
     u, v = int(arc[0]), int(arc[1])
     if (u, v) not in g.arc_set:
         raise ValueError(f"arc ({u},{v}) is not present")
-    adj = underlying(g).adjacency_masks()
+    adj = _arc_masks(g)[0]
 
     found = False
 
@@ -186,20 +201,6 @@ def arc_on_even_cycle(g: OrientedGraph, arc: tuple[int, int]) -> bool:
 
     dfs(u, 1 << u, 0)
     return found
-
-
-def _arc_masks(g: OrientedGraph) -> tuple[list[int], list[int]]:
-    """Adjacency and out-neighbour bitmasks, built in one pass over the arcs.
-
-    out[t] masks the heads of the arcs at tail t.
-    """
-    adj = [0] * g.n
-    out = [0] * g.n
-    for t, h in g.arcs:
-        out[t] |= 1 << h
-        adj[t] |= 1 << h
-        adj[h] |= 1 << t
-    return adj, out
 
 
 def _even_cycles_at(

@@ -562,6 +562,8 @@ def trapezoid_by_halving(p: SkewCharPoly, tol: float, node_cap: int) -> Integral
         nodes = 2 * nodes - 1
         prev, value = value, scale * h * total
         est_error = abs(value - prev) + scale * (left + right) + _ROUNDING * value
+        if abs(value - prev) <= _ROUNDING * value and _ROUNDING * value >= tol:
+            break  # the rounding allowance alone is past tol; halving cannot help
     return IntegralEnergy(
         value=value, nodes=nodes, est_error=est_error, tolerance_met=est_error <= tol
     )

@@ -1,7 +1,7 @@
 """Exact characteristic polynomials, recurrences, and the quasi-order."""
 
-import importlib
 import random
+import sys
 from math import comb
 
 import numpy as np
@@ -10,8 +10,9 @@ import pytest
 from skewenergy.charpoly import (
     QuasiOrder,
     SkewCharPoly,
-    _even_coeffs_batch,
     _int64_recursion_safe,
+    _newton,
+    _trace_batch,
     charpoly,
     charpoly_delete_arc,
     pendant_coefficients,
@@ -105,8 +106,6 @@ class TestCharpoly:
             full = charpoly_interpolated(skew_adjacency(g).tolist())
             assert p.coeffs == tuple(full[k] for k in range(0, g.n + 1, 2))
 
-# the package exports the function charpoly under the module's name
-charpoly_module = importlib.import_module("skewenergy.charpoly")
 
 # non-skew members that each trip one check of the kernel
 CORRUPT_MEMBERS = [
@@ -121,6 +120,12 @@ CORRUPT_MEMBERS = [
 ]
 
 
+def _coeff_rows(mats):
+    """_newton on every row of _trace_batch over a stack of skew matrices."""
+    h = mats.shape[1] // 2
+    return [_newton(tuple(row), h) for row in _trace_batch(mats).tolist()]
+
+
 class TestBatchedRecursion:
     def test_matches_scalar(self):
         rng = random.Random(3005)
@@ -128,20 +133,18 @@ class TestBatchedRecursion:
             n = rng.randint(2, 7)
             graphs = [random_oriented(rng, n) for _ in range(8)]
             mats = np.stack([skew_adjacency(g) for g in graphs])
-            block = _even_coeffs_batch(mats)
-            for g, row in zip(graphs, block):
-                assert tuple(int(x) for x in row) == charpoly(g).coeffs
+            for g, row in zip(graphs, _coeff_rows(mats)):
+                assert row == charpoly(g).coeffs
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_matches_faddeev_leverrier_and_interpolation(self, n):
         rng = random.Random(3008 + n)
         mats = np.stack([skew_adjacency(random_oriented(rng, n)) for _ in range(6)])
-        block = _even_coeffs_batch(mats)
-        for s, row in zip(mats, block):
+        for s, row in zip(mats, _coeff_rows(mats)):
             full = faddeev_leverrier(s)
             assert full == charpoly_interpolated(s.tolist())
             assert all(c == 0 for c in full[1::2])
-            assert row.tolist() == full[::2]
+            assert list(row) == full[::2]
 
     # the largest arc count that runs in int64 on n vertices; at n = 15 it
     # is every pair, C(15, 2) = 105
@@ -157,9 +160,8 @@ class TestBatchedRecursion:
             safe = m == top
             assert _int64_recursion_safe(n, m) is safe
             s = skew_adjacency(random_oriented(rng, n, m))
-            row = _even_coeffs_batch(s[None])
-            assert row.dtype == (np.int64 if safe else object)
-            assert row[0].tolist() == charpoly_interpolated(s.tolist())[::2]
+            assert _trace_batch(s[None]).dtype == (np.int64 if safe else object)
+            assert list(_coeff_rows(s[None])[0]) == charpoly_interpolated(s.tolist())[::2]
 
     def test_mixed_batch_takes_object_path(self):
         # one sparse and one dense n = 16 matrix: the dense one decides
@@ -167,45 +169,27 @@ class TestBatchedRecursion:
         rng = random.Random(3010)
         sparse, dense = random_oriented(rng, 16, 20), random_oriented(rng, 16, 114)
         assert _int64_recursion_safe(16, sparse.m) and not _int64_recursion_safe(16, dense.m)
-        block = _even_coeffs_batch(np.stack([skew_adjacency(sparse), skew_adjacency(dense)]))
-        assert block.dtype == object
-        assert tuple(block[0]) == charpoly(sparse).coeffs
-        assert tuple(block[1]) == charpoly(dense).coeffs
+        mats = np.stack([skew_adjacency(sparse), skew_adjacency(dense)])
+        assert _trace_batch(mats).dtype == object
+        assert _coeff_rows(mats) == [charpoly(sparse).coeffs, charpoly(dense).coeffs]
 
     @pytest.mark.parametrize("corrupt,match", CORRUPT_MEMBERS)
     def test_non_skew_member_trips_a_check(self, corrupt, match):
         bad = np.array(corrupt, dtype=np.int64)
         good = skew_adjacency(oriented_path(len(bad)))
         with pytest.raises(RuntimeError, match=match):
-            _even_coeffs_batch(np.stack([good, bad]))
+            _coeff_rows(np.stack([good, bad]))
 
     @pytest.mark.parametrize("corrupt,match", CORRUPT_MEMBERS)
     @pytest.mark.parametrize("place", ["first", "repeated"])
     def test_corrupt_row_first_or_repeated(self, corrupt, match, place):
         # a corrupt row trips its check wherever it sits, and also when
-        # its coefficients would be looked up rather than computed
+        # it repeats
         bad = np.array(corrupt, dtype=np.int64)
         good = skew_adjacency(oriented_path(len(bad)))
         rows = [bad, good] if place == "first" else [good, bad, good, bad, bad]
         with pytest.raises(RuntimeError, match=match):
-            _even_coeffs_batch(np.stack(rows))
-
-    def test_newton_runs_once_per_distinct_trace_row(self, monkeypatch):
-        graphs = [oriented_cycle(6, "odd"), oriented_path(6), oriented_cycle(6, "even")]
-        mats = np.stack([skew_adjacency(graphs[i]) for i in (0, 1, 0, 2, 1, 0, 0)])
-        newton, rows = charpoly_module._newton, []
-
-        def counted(traces, h):
-            rows.append(traces)
-            return newton(traces, h)
-
-        monkeypatch.setattr(charpoly_module, "_newton", counted)
-        block = _even_coeffs_batch(mats)
-        assert len(rows) == len(set(rows)) == 3
-        assert block.dtype == np.int64
-        assert [tuple(row) for row in block.tolist()] == [
-            charpoly(graphs[i]).coeffs for i in (0, 1, 0, 2, 1, 0, 0)
-        ]
+            _coeff_rows(np.stack(rows))
 
 
 class TestDeleteArcIdentity:
@@ -265,7 +249,12 @@ class TestPendantRecurrence:
         with pytest.raises(ValueError, match="pendant"):
             pendant_coefficients(oriented_star(4), 1, 0)
 
-    def test_random_pendants(self):
+    def test_random_pendants(self, monkeypatch):
+        # a pendant arc lies on no cycle, so no even-cycle search may run
+        def no_search(g, arc):
+            raise AssertionError("pendant_coefficients searched for an even cycle")
+
+        monkeypatch.setattr(sys.modules["skewenergy.charpoly"], "arc_on_even_cycle", no_search)
         rng = random.Random(3007)
         done = 0
         while done < 40:

@@ -11,7 +11,6 @@ import pytest
 from skewenergy.charpoly import QuasiOrder, SkewCharPoly, charpoly, quasi_compare
 from skewenergy import energy
 from skewenergy.energy import (
-    _SWEEP_LEVELS,
     _truncation,
     adjacency_energy_tree,
     energy_from_even_coeffs,
@@ -83,6 +82,17 @@ class TestIntegral:
     def test_least_tolerance_accepted(self):
         res = skew_energy_integral(SkewCharPoly(2, (1, 1)), tol=2.0**-48)
         assert res.value == pytest.approx(2.0, abs=1e-14)
+
+    def test_stops_once_rounding_alone_exceeds_tol(self):
+        # E = 2 sqrt(11) puts the rounding allowance at 1.18e-14 > tol: the
+        # rule stops as soon as a halving moves the value by no more than
+        # it, where halving on to node_cap (827,393 nodes) changes neither
+        # the value nor the error estimate
+        res = skew_energy_integral(charpoly(construct_o_plus(6, 7)), tol=1e-14)
+        assert not res.tolerance_met
+        assert res.nodes <= 1000
+        assert res.value == pytest.approx(2 * math.sqrt(11), rel=1e-15)
+        assert res.est_error == pytest.approx(1.1783025495855851e-14, rel=1e-9)
 
     def test_node_cap_reported(self):
         res = skew_energy_integral(SkewCharPoly(4, (1, 4, 4)), tol=1e-12, node_cap=200)
@@ -220,6 +230,9 @@ class TestSweep:
             return inner(coeffs, x)
 
         monkeypatch.setattr(energy, "log_psi_over_x2", counted)
+        # a one-level sweep, so that the grid also reaches the levels past it
+        levels = 1
+        monkeypatch.setattr(energy, "_SWEEP_LEVELS", levels)
         past_sweep = 0
         for p in _seeded_polys():
             for tol in SWEEP_TOLS:
@@ -233,12 +246,11 @@ class TestSweep:
                     lo, hi, _, _ = _truncation(list(p.coeffs), energy._TAIL_SHARE * tol)
                     level = ((res.nodes - 1) // (hi - lo)).bit_length() - 1
                     assert res.nodes == ((hi - lo) << level) + 1
-                    if level <= _SWEEP_LEVELS:
+                    if level <= levels:
                         assert len(sizes) == 1
                     else:
                         past_sweep += 1
-                        assert len(sizes) == 1 + level - _SWEEP_LEVELS
-        # the grid also reaches the levels past the sweep
+                        assert len(sizes) == 1 + level - levels
         assert past_sweep > 0
 
 

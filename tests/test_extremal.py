@@ -12,8 +12,9 @@ import pytest
 from skewenergy.charpoly import (
     QuasiOrder,
     SkewCharPoly,
-    _even_coeffs_batch,
     _int64_recursion_safe,
+    _newton,
+    _trace_batch,
     charpoly,
     quasi_compare,
 )
@@ -387,7 +388,8 @@ class TestOrientations:
 
 def _full_census(ug):
     mats = np.stack([skew_adjacency(g) for g in enumerate_orientations(ug)])
-    return Counter(map(tuple, _even_coeffs_batch(mats).tolist()))
+    h = ug.n // 2
+    return Counter(_newton(tuple(row), h) for row in _trace_batch(mats).tolist())
 
 
 class TestSwitchingMultiplier:

@@ -2,7 +2,7 @@
 
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -10,6 +10,7 @@ import pytest
 from skewenergy.charpoly import charpoly
 from skewenergy.extremal import enumerate_connected_underlying, orientation_coefficient_census
 from skewenergy.graphs import (
+    UndirectedGraph,
     build,
     construct_o_plus,
     oriented_cycle,
@@ -101,6 +102,17 @@ class TestQuadrangles:
     def test_k4_counts_cycle_copies(self):
         k4 = build(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
         assert count_quadrangles(underlying(k4)) == 3
+
+    def test_complete_graphs(self):
+        # any 4 vertices of K_n span 3 distinct 4-cycles: 14,535 in K_20
+        for n in range(4, 21):
+            kn = UndirectedGraph(n, tuple(combinations(range(n), 2)))
+            assert count_quadrangles(kn) == 3 * comb(n, 4) == len(quadrangles(kn)), n
+
+    def test_none_on_c5_or_a_tree(self):
+        assert count_quadrangles(UndirectedGraph(5, tuple((i, (i + 1) % 5) for i in range(5)))) == 0
+        rng = random.Random(2011)
+        assert count_quadrangles(UndirectedGraph(12, tuple(random_tree_edges(rng, 12)))) == 0
 
     def test_vs_brute_force(self):
         rng = random.Random(2004)
