@@ -3,13 +3,15 @@
 Subcommands: charpoly, energy, compare, construct, verify,
 verify-oracle, crossover.  Graphs come from oriented edge list files
 (--file) or from the named constructions (--construct with --n/--m).
-Output is TSV by default; energy, verify and crossover also emit JSON.
+energy and crossover print TSV unless given --emit json, and verify
+prints JSON unless given --emit tsv.
 All output is deterministic for fixed input and flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -126,6 +128,28 @@ def _fmt(x: float) -> str:
     return f"{x:.{_SIG_DIGITS}g}"
 
 
+def _cell(x) -> str:
+    """One TSV cell: booleans lower-case, floats to _SIG_DIGITS, sequences space-joined."""
+    if isinstance(x, bool):
+        return str(x).lower()
+    if isinstance(x, float):
+        return _fmt(x)
+    if isinstance(x, (list, tuple)):
+        return " ".join(map(str, x))
+    return str(x)
+
+
+def _emit(fmt: str, records: dict | list[dict]) -> None:
+    """Print one record or a list of them, as JSON or as TSV under one header."""
+    if fmt == "json":
+        print(json.dumps(records, indent=2))
+        return
+    rows = [records] if isinstance(records, dict) else records
+    print("\t".join(rows[0]))
+    for row in rows:
+        print("\t".join(_cell(x) for x in row.values()))
+
+
 def _cmd_charpoly(args) -> int:
     _, g = _load_source(args)
     print(charpoly(g).line())
@@ -154,26 +178,17 @@ def _cmd_energy(args) -> int:
     spectral = float(_fmt(rep.spectral))
     integral = float(_fmt(rep.integral))
     discrepancy = float(Decimal(rep.discrepancy).quantize(quantum))
-    if args.emit == "json":
-        print(
-            json.dumps(
-                {
-                    "graph": label,
-                    "spectral": spectral,
-                    "integral": integral,
-                    "discrepancy": discrepancy,
-                    "nodes": rep.quadrature_nodes,
-                    "tolerance_met": rep.tolerance_met,
-                },
-                indent=2,
-            )
-        )
-    else:
-        print("graph\tspectral\tintegral\tdiscrepancy\tnodes\ttolerance_met")
-        print(
-            f"{label}\t{_fmt(spectral)}\t{_fmt(integral)}"
-            f"\t{_fmt(discrepancy)}\t{rep.quadrature_nodes}\t{str(rep.tolerance_met).lower()}"
-        )
+    _emit(
+        args.emit,
+        {
+            "graph": label,
+            "spectral": spectral,
+            "integral": integral,
+            "discrepancy": discrepancy,
+            "nodes": rep.quadrature_nodes,
+            "tolerance_met": rep.tolerance_met,
+        },
+    )
     return EXIT_OK
 
 
@@ -196,14 +211,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     cert = verify_theorem_1(args.n, args.m)
-    if args.emit == "tsv":
-        d = cert.to_dict()
-        d["min_coeffs"] = " ".join(str(c) for c in cert.min_coeffs)
-        keys = list(d)
-        print("\t".join(keys))
-        print("\t".join(str(d[k]) for k in keys))
-    else:
-        print(json.dumps(cert.to_dict(), indent=2))
+    _emit(args.emit, cert.to_dict())
     return EXIT_OK if cert.verdict == "pass" else EXIT_VERIFY_FAILED
 
 
@@ -226,26 +234,7 @@ def _cmd_verify_oracle(args) -> int:
 
 
 def _cmd_crossover(args) -> int:
-    rows = crossover_table(args.n)
-    if args.emit == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "m": r.m,
-                        "a4_o_plus": r.a4_o_plus,
-                        "a4_b_plus": r.a4_b_plus,
-                        "winner": r.winner,
-                    }
-                    for r in rows
-                ],
-                indent=2,
-            )
-        )
-    else:
-        print("m\ta4_o_plus\ta4_b_plus\twinner")
-        for r in rows:
-            print(f"{r.m}\t{r.a4_o_plus}\t{r.a4_b_plus}\t{r.winner}")
+    _emit(args.emit, [dataclasses.asdict(r) for r in crossover_table(args.n)])
     return EXIT_OK
 
 

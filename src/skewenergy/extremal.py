@@ -55,7 +55,7 @@ import numpy as np
 
 from .charpoly import QuasiOrder, SkewCharPoly, _newton, _trace_batch, charpoly, quasi_compare
 from .energy import energy_from_even_coeffs, energy_from_even_coeffs_precise
-from .graphs import UndirectedGraph, construct_b_plus, construct_o_plus
+from .graphs import UndirectedGraph, _spanning_forest, construct_b_plus, construct_o_plus
 # count_quadrangles is a public name here too (perfbench/spans.py wraps it),
 # though the scans count 4-cycles from the adjacency cube (_class_counts)
 from .subgraphs import count_quadrangles  # noqa: F401
@@ -421,27 +421,6 @@ def enumerate_connected_underlying(
 # orientation census
 # ---------------------------------------------------------------------------
 
-def _spanning_forest(ug: UndirectedGraph):
-    """(forest edges, other edges) of a spanning forest grown in edge order."""
-    root = list(range(ug.n))
-
-    def find(v):
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
-    forest, rest = [], []
-    for u, v in ug.edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            rest.append((u, v))
-        else:
-            root[ru] = rv
-            forest.append((u, v))
-    return forest, rest
-
-
 def orientation_coefficient_census(ug: UndirectedGraph) -> Counter:
     """Exact coefficient vector multiset over all 2^m orientations.
 
@@ -463,7 +442,7 @@ def orientation_coefficient_census(ug: UndirectedGraph) -> Counter:
         raise ValueError(
             f"refusing to scan 2^{ug.m} orientations (guard is 2^{_ORIENTATION_GUARD})"
         )
-    forest, rest = _spanning_forest(ug)
+    forest, rest = _spanning_forest(ug.n, ug.edges)
     f_tails, f_heads = np.array(forest, dtype=np.intp).reshape(-1, 2).T
     r_tails, r_heads = np.array(rest, dtype=np.intp).reshape(-1, 2).T
     traces: Counter = Counter()
@@ -651,16 +630,6 @@ class BoundReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "bound": self.bound,
-            "witnesses_checked": self.witnesses_checked,
-            "violations": [list(map(list, edges)) for edges in self.violations],
-            "passed": self.passed,
-        }
 
 
 def _quadrangle_bound(n: int, m: int, max_n: int, dominating_only: bool) -> BoundReport:

@@ -171,23 +171,35 @@ class UndirectedGraph:
         return pair in self.edges
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        adj = self.adjacency_masks()
-        seen = 1
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            fresh = adj[v] & ~seen
-            seen |= fresh
-            while fresh:
-                low = fresh & -fresh
-                stack.append(low.bit_length() - 1)
-                fresh ^= low
-        return seen == (1 << self.n) - 1
+        return len(_spanning_forest(self.n, self.edges)[0]) == self.n - 1
 
     def is_tree(self) -> bool:
         return self.m == self.n - 1 and self.is_connected()
+
+
+def _spanning_forest(
+    n: int, edges: Iterable[tuple[int, int]]
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """(forest edges, other edges) of a spanning forest of vertices 0..n-1,
+    grown by union-find in edge order: an edge joins the forest exactly
+    when no earlier edge connects its endpoints."""
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    forest, rest = [], []
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            rest.append((u, v))
+        else:
+            root[ru] = rv
+            forest.append((u, v))
+    return forest, rest
 
 
 def build(n: int, arcs: Iterable[tuple[int, int]]) -> OrientedGraph:

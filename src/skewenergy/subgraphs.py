@@ -5,19 +5,21 @@ parity, the quartic coefficient from the quadrangle parities, and the
 expansion of characteristic-polynomial coefficients over packings of
 arcs and even cycles.  Everything here is exact integer arithmetic.
 The expansion sums its terms' weights through one memoized recursion
-over vertex subsets instead of listing the terms; it shares no code
-with the linear-algebra route it cross-checks.
+over vertex subsets instead of listing the terms; matchings, the basic
+subgraphs without cycles, are counted by the same recursion.  None of
+it shares code with the linear-algebra route it cross-checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .graphs import OrientedGraph, UndirectedGraph
+from .graphs import OrientedGraph, UndirectedGraph, _spanning_forest
 
 __all__ = [
     "CycleParity",
@@ -55,45 +57,20 @@ def _iter_bits(mask: int) -> Iterator[int]:
 
 
 def matching_counts(ug: UndirectedGraph) -> tuple[int, ...]:
-    """Exact number of r-matchings for every r in 0..n//2.
-
-    Recursion on the lowest-index remaining vertex (either unmatched or
-    matched to one of its remaining neighbors), memoized on the induced
-    vertex bitmask.  The memo table is per-call.
-    """
-    adj = ug.adjacency_masks()
-    memo: dict[int, tuple[int, ...]] = {}
-
-    def rec(mask: int) -> tuple[int, ...]:
-        if mask == 0:
-            return (1,)
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        v = (mask & -mask).bit_length() - 1
-        rest = mask & ~(1 << v)
-        counts = list(rec(rest))
-        for w in _iter_bits(adj[v] & rest):
-            sub = rec(rest & ~(1 << w))
-            if len(counts) < len(sub) + 1:
-                counts.extend([0] * (len(sub) + 1 - len(counts)))
-            for r, c in enumerate(sub):
-                counts[r + 1] += c
-        result = tuple(counts)
-        memo[mask] = result
-        return result
-
-    full = rec((1 << ug.n) - 1)
-    padded = full + (0,) * (ug.n // 2 + 1 - len(full))
-    return padded
+    """Exact number of r-matchings for every r in 0..n//2."""
+    return tuple(count_matchings(ug, r) for r in range(ug.n // 2 + 1))
 
 
 def count_matchings(ug: UndirectedGraph, r: int) -> int:
-    """Number of r-matchings; 1 for r=0, 0 once 2r exceeds n."""
+    """Number of r-matchings; 1 for r=0, 0 once 2r exceeds n.
+
+    An r-matching is a basic subgraph on 2r vertices with no cycle
+    component, each weighing 1, so it is _basic_sum with a cycle
+    enumerator that finds none.
+    """
     if r < 0:
         raise ValueError(f"matching size must be nonnegative, got {r}")
-    counts = matching_counts(ug)
-    return counts[r] if r < len(counts) else 0
+    return _basic_sum(ug.adjacency_masks(), lambda v, avail, max_len: (), 2 * r)
 
 
 def _quadrangles(adj: list[int]) -> Iterator[tuple[int, int, int, int]]:
@@ -174,11 +151,17 @@ def arc_on_even_cycle(g: OrientedGraph, arc: tuple[int, int]) -> bool:
     """Whether the arc lies on some even cycle of the underlying graph.
 
     Equivalent to the existence of an odd-length simple path between
-    the arc's endpoints that avoids the arc itself.
+    the arc's endpoints that avoids the arc itself.  A bridge lies on no
+    cycle at all: listed after every other arc, it joins their spanning
+    forest exactly when no other path links its endpoints, and then no
+    path is searched.
     """
     u, v = int(arc[0]), int(arc[1])
     if (u, v) not in g.arc_set:
         raise ValueError(f"arc ({u},{v}) is not present")
+    others = [a for a in g.arcs if a != (u, v)]
+    if _spanning_forest(g.n, others + [(u, v)])[0][-1] == (u, v):
+        return False
     adj = _arc_masks(g)[0]
 
     found = False
@@ -243,32 +226,27 @@ def _even_cycles_at(
     return found
 
 
-def coefficient_by_expansion(g: OrientedGraph, i: int) -> int:
-    """Characteristic-polynomial coefficient a_i from the subgraph expansion.
+def _basic_sum(
+    adj: list[int],
+    cycles_at: Callable[[int, int, int], Iterable[tuple[int, int, int]]],
+    i: int,
+) -> int:
+    """Weighted sum over the basic subgraphs on i vertices.
 
-    a_i is the sum, over the basic subgraphs of g on i vertices
-    (vertex-disjoint unions of arcs and even cycles, chords allowed), of
-    the product of their cycle weights: 2 for an oddly oriented cycle,
-    -2 for an evenly oriented one, 1 for an arc.  Serves as the
-    independent oracle for the exact linear-algebra route.
+    adj holds the adjacency masks, and cycles_at(v, avail, max_len)
+    yields the cycle components through v inside avail|{v} with at most
+    max_len vertices, as (vertex mask, length, weight); arcs weigh 1.
+    Cycles are even, so they are asked for only while 4 or more vertices
+    remain to cover.
 
-    No subgraph is built.  total(avail, need) is the weighted sum over
-    the basic subgraphs on need vertices inside the vertex set avail.
-    At the lowest vertex v of avail it splits by v's component: none
-    (total(avail - v, need)), an arc vw (total(avail - v - w, need - 2))
-    or an even cycle C through v of length at most need, which adds its
-    weight times total(avail - C, need - |C|).  Weights multiply over
-    components and the sub-sum depends on nothing but (avail, need), so
-    the recursion memoizes on that pair, per call.  The adjacency and
-    out-neighbour masks are built once per call, in one pass over the
-    arcs, and _even_cycles_at hands each cycle over with its weight
-    already read off its search path.
+    total(avail, need) is the weighted sum over the basic subgraphs on
+    need vertices inside the vertex set avail.  At the lowest vertex v
+    of avail it splits by v's component: none (total(avail - v, need)),
+    an arc vw (total(avail - v - w, need - 2)) or a cycle C through v,
+    which adds its weight times total(avail - C, need - |C|).  Weights
+    multiply over components and the sub-sum depends on nothing but
+    (avail, need), so the recursion memoizes on that pair, per call.
     """
-    if i % 2:
-        raise ValueError(f"basic subgraphs have even order, got i={i}")
-    if not (0 <= i <= g.n):
-        raise ValueError(f"i must lie in [0, {g.n}], got {i}")
-    adj, out = _arc_masks(g)
     memo: dict[tuple[int, int], int] = {}
 
     def total(avail: int, need: int) -> int:
@@ -290,12 +268,36 @@ def coefficient_by_expansion(g: OrientedGraph, i: int) -> int:
             nbrs ^= bit
             s += total(rest ^ bit, need - 2)
         if need >= 4:
-            for used, length, weight in _even_cycles_at(adj, out, v, rest, need):
+            for used, length, weight in cycles_at(v, rest, need):
                 s += weight * total(avail & ~used, need - length)
         memo[key] = s
         return s
 
-    return total((1 << g.n) - 1, i)
+    return total((1 << len(adj)) - 1, i)
+
+
+def coefficient_by_expansion(g: OrientedGraph, i: int) -> int:
+    """Characteristic-polynomial coefficient a_i from the subgraph expansion.
+
+    a_i is the sum, over the basic subgraphs of g on i vertices
+    (vertex-disjoint unions of arcs and even cycles, chords allowed), of
+    the product of their cycle weights: 2 for an oddly oriented cycle,
+    -2 for an evenly oriented one, 1 for an arc.  Serves as the
+    independent oracle for the exact linear-algebra route.
+
+    No subgraph is built: _basic_sum splits at the lowest vertex by its
+    component, an arc or an even cycle, and memoizes on the vertex set
+    left and the vertex count still to cover.  The adjacency and
+    out-neighbour masks are built once per call, in one pass over the
+    arcs, and _even_cycles_at hands each cycle over with its weight
+    already read off its search path.
+    """
+    if i % 2:
+        raise ValueError(f"basic subgraphs have even order, got i={i}")
+    if not (0 <= i <= g.n):
+        raise ValueError(f"i must lie in [0, {g.n}], got {i}")
+    adj, out = _arc_masks(g)
+    return _basic_sum(adj, partial(_even_cycles_at, adj, out), i)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Nothing here shares code with the production paths: determinants go
 through Bareiss elimination and Lagrange interpolation or the
 Faddeev-LeVerrier recursion, orientation censuses through the full
 2^m stream, matchings and quadrangles through raw subset scans,
-isomorphism through networkx's VF2, and the subgraph expansion through
+isomorphism through networkx's VF2, even cycles through an arc by
+networkx's simple-path listing, and the subgraph expansion through
 a list of every basic subgraph, and canonical forms through a scalar
 search over vertex orders.  Two exceptions share production code: the
 full-census certificate shares the per-class census and the verdict with
@@ -226,6 +227,18 @@ def nx_graph(ug: UndirectedGraph):
     g.add_nodes_from(range(ug.n))
     g.add_edges_from(ug.edges)
     return g
+
+
+def nx_arc_on_even_cycle(g: OrientedGraph, arc: tuple[int, int]) -> bool:
+    """Whether the arc lies on an even cycle: some simple path of odd
+    length joins its endpoints in the underlying graph without it, found
+    by listing every such path with networkx."""
+    import networkx as nx
+
+    u, v = arc
+    h = nx_graph(underlying(g))
+    h.remove_edge(u, v)
+    return any(len(path) % 2 == 0 for path in nx.all_simple_paths(h, u, v))
 
 
 def nx_connected_class_count(n: int, m: int) -> int:

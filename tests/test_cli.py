@@ -25,6 +25,7 @@ GOLDEN_CASES = [
     (["verify", "--n", "6", "--m", "7", "--emit", "tsv"], "verify_6_7_tsv.txt"),
     (["verify-oracle", "--construct", "o-plus", "--n", "6", "--m", "7"], "verify_oracle_oplus_6_7.txt"),
     (["crossover", "--n", "7"], "crossover_7.txt"),
+    (["crossover", "--n", "7", "--emit", "json"], "crossover_7_json.txt"),
 ]
 
 

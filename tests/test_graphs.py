@@ -21,7 +21,7 @@ from skewenergy.graphs import (
     underlying,
 )
 
-from _oracles import random_connected_oriented, random_oriented
+from _oracles import nx_graph, random_connected_oriented, random_oriented
 
 
 class TestBuild:
@@ -213,3 +213,20 @@ def test_connectivity_helpers():
     assert not underlying(build(3, [(0, 1)])).is_connected()
     assert underlying(oriented_path(5)).is_tree()
     assert not underlying(oriented_cycle(4, "odd")).is_tree()
+
+
+def test_is_connected_matches_networkx():
+    import networkx as nx
+
+    rng = random.Random(1004)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        ug = underlying(random_oriented(rng, n, rng.randint(0, min(n * (n - 1) // 2, 2 * n))))
+        want = nx.is_connected(nx_graph(ug))
+        assert ug.is_connected() == want
+        seen[want] += 1
+    assert min(seen.values()) > 50
+    assert underlying(build(1, [])).is_connected()
+    # every edge inside one component, vertex 4 isolated
+    assert not underlying(build(5, [(0, 1), (1, 2), (2, 3), (3, 0)])).is_connected()

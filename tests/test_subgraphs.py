@@ -36,6 +36,7 @@ from _oracles import (
     brute_quadrangle_edge_sets,
     enumerate_basic_subgraphs,
     enumerate_orientations,
+    nx_arc_on_even_cycle,
     random_oriented,
     random_tree_edges,
 )
@@ -78,6 +79,15 @@ class TestMatchings:
             ug = underlying(random_oriented(rng, rng.randint(2, 9)))
             expected = comb(ug.m, 2) - sum(comb(d, 2) for d in ug.degrees())
             assert count_matchings(ug, 2) == expected
+
+    def test_forest_coefficients_are_matching_counts(self):
+        # on a forest a_2k = M(G, k): both callers of _basic_sum, one identity
+        rng = random.Random(2004)
+        for _ in range(60):
+            n = rng.randint(1, 12)
+            edges = [e for e in random_tree_edges(rng, n) if rng.random() < 0.8]
+            g = build(n, [(u, v) if rng.random() < 0.5 else (v, u) for u, v in edges])
+            assert matching_counts(underlying(g)) == charpoly(g).coeffs
 
     def test_oversized_matching_is_zero(self):
         assert count_matchings(underlying(oriented_star(4)), 2) == 0
@@ -185,6 +195,31 @@ class TestArcOnEvenCycle:
     def test_absent_arc_rejected(self):
         with pytest.raises(ValueError, match="not present"):
             arc_on_even_cycle(build(2, [(0, 1)]), (1, 0))
+
+    def test_bridges_of_dense_graphs(self):
+        # a simple-path search from the tail of these arcs walks every path
+        # of K_11 (seconds); a bridge lies on no cycle, even or odd
+        k11 = list(combinations(range(11), 2))
+        for arc in [(0, 11), (11, 0)]:
+            g = build(12, k11 + [arc])
+            assert not arc_on_even_cycle(g, arc)
+            assert arc_on_even_cycle(g, (0, 1))
+        k6 = list(combinations(range(6), 2))
+        for arc in [(5, 6), (6, 5)]:
+            g = build(12, k6 + [(a + 6, b + 6) for a, b in k6] + [arc])
+            assert not arc_on_even_cycle(g, arc)
+
+    def test_vs_path_listing(self):
+        rng = random.Random(2005)
+        seen = Counter()
+        for _ in range(150):
+            n = rng.randint(2, 8)
+            g = random_oriented(rng, n, rng.randint(1, min(comb(n, 2), 2 * n)))
+            for arc in g.arcs:
+                want = nx_arc_on_even_cycle(g, arc)
+                assert arc_on_even_cycle(g, arc) == want
+                seen[want] += 1
+        assert min(seen[True], seen[False]) > 100
 
 
 class TestBasicSubgraphs:
