@@ -150,7 +150,7 @@ class UndirectedGraph:
         return tuple(sorted(self.degrees(), reverse=True))
 
     def max_degree(self) -> int:
-        return max(self.degrees()) if self.n else 0
+        return max(self.degrees())
 
     def adjacency_sets(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.n)]

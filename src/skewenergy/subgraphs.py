@@ -1,25 +1,26 @@
 """Combinatorial ground truth for skew-spectral computations.
 
 Matching counts, quadrangle (4-cycle) counts, even-cycle orientation
-parity, the quartic coefficient from the quadrangle parities, and the
-expansion of characteristic-polynomial coefficients over packings of
-arcs and even cycles.  Everything here is exact integer arithmetic.
-The expansion sums its terms' weights through one memoized recursion
-over vertex subsets instead of listing the terms; matchings, the basic
-subgraphs without cycles, are counted by the same recursion.  None of
-it shares code with the linear-algebra route it cross-checks.
+parity, a polynomial test of whether an arc lies on an even cycle, the
+quartic coefficient from the quadrangle parities, and the expansion of
+characteristic-polynomial coefficients over packings of arcs and even
+cycles.  Everything here is exact integer arithmetic.  The expansion
+sums its terms' weights through one memoized recursion over vertex
+subsets instead of listing the terms; matchings, the basic subgraphs
+without cycles, are counted by the same recursion.  None of it shares
+code with the linear-algebra route it cross-checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .graphs import OrientedGraph, UndirectedGraph, _spanning_forest
+from .graphs import OrientedGraph, UndirectedGraph
 
 __all__ = [
     "CycleParity",
@@ -148,42 +149,41 @@ def cycle_parity(g: OrientedGraph, cycle: Sequence[int]) -> CycleParity:
 
 
 def arc_on_even_cycle(g: OrientedGraph, arc: tuple[int, int]) -> bool:
-    """Whether the arc lies on some even cycle of the underlying graph.
+    """Whether the arc uv lies on an even cycle: G - uv has an odd u-v path.
 
-    Equivalent to the existence of an odd-length simple path between
-    the arc's endpoints that avoids the arc itself.  A bridge lies on no
-    cycle at all: listed after every other arc, it joins their spanning
-    forest exactly when no other path links its endpoints, and then no
-    path is searched.
+    Its vertices on u-v paths form H, the chain of blocks from u to v;
+    w is in H when no vertex c != w cuts it off from {u, v} - {c}
+    (Menger), one reach per c.  The answer is whether a parity-layered
+    reach from u inside H meets v at odd length.  If H is bipartite,
+    every u-v path has the parity of the colours; if not, a 2-connected
+    non-bipartite block of the chain joins its entry and exit by paths
+    of both parities, via two disjoint paths to an odd cycle.  An odd
+    u-v path has 3 or more edges, so it closes an even cycle with uv,
+    and from a bridge no walk reaches v.  Outside H, an odd cycle at a
+    cut vertex gives odd walks but no odd path.
     """
     u, v = int(arc[0]), int(arc[1])
     if (u, v) not in g.arc_set:
         raise ValueError(f"arc ({u},{v}) is not present")
-    others = [a for a in g.arcs if a != (u, v)]
-    if _spanning_forest(g.n, others + [(u, v)])[0][-1] == (u, v):
-        return False
+    n = g.n
     adj = _arc_masks(g)[0]
+    adj[u] ^= 1 << v
+    adj[v] ^= 1 << u
+    cover = [a << n for a in adj] + adj  # bit w: even length, bit n + w: odd
 
-    found = False
+    def reach(seen: int, within: int) -> int:
+        frontier = seen
+        while frontier:
+            frontier = reduce(int.__or__, (cover[w] for w in _iter_bits(frontier)))
+            frontier &= within & ~seen
+            seen |= frontier
+        return seen
 
-    def dfs(cur: int, visited: int, length: int) -> None:
-        nonlocal found
-        if found:
-            return
-        for w in _iter_bits(adj[cur] & ~visited):
-            if w == v:
-                # reaching v with an odd path of >= 3 edges closes an even
-                # cycle through the arc; length+1 == 1 is the arc itself
-                if length + 1 >= 3 and (length + 1) % 2 == 1:
-                    found = True
-                    return
-                continue
-            dfs(w, visited | (1 << w), length + 1)
-            if found:
-                return
-
-    dfs(u, 1 << u, 0)
-    return found
+    h = (1 << n) - 1
+    for c in range(n):
+        seen = reach((1 << u | 1 << v) & ~(1 << c), ~(1 << c | 1 << n + c))
+        h &= seen | seen >> n | 1 << c
+    return bool(reach(1 << u, h | h << n) >> n + v & 1)
 
 
 def _even_cycles_at(

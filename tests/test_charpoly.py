@@ -214,6 +214,15 @@ class TestDeleteArcIdentity:
         with pytest.raises(ValueError, match="even cycle"):
             charpoly_delete_arc(oriented_cycle(4, "odd"), (0, 1))
 
+    def test_complete_bipartite_plus_inside_arc(self):
+        # (0, 1) lies on triangles but on no even cycle; a second inside
+        # arc (2, 3) puts it on the 6-cycle 0, 6, 2, 3, 7, 1
+        k66 = [(i, 6 + j) for i in range(6) for j in range(6)]
+        g = build(12, k66 + [(0, 1)])
+        assert charpoly_delete_arc(g, (0, 1)).coeffs == charpoly(g).coeffs
+        with pytest.raises(ValueError, match="even cycle"):
+            charpoly_delete_arc(build(12, k66 + [(0, 1), (2, 3)]), (0, 1))
+
     def test_random_applicable_arcs(self):
         rng = random.Random(3006)
         done = 0

@@ -191,14 +191,20 @@ class TestArcOnEvenCycle:
         assert arc_on_even_cycle(c6, (0, 1))
         pendant = build(3, [(0, 1), (1, 2)])
         assert not arc_on_even_cycle(pendant, (1, 2))
+        # the triangle at 2 gives 0 and 1 an odd walk 0-2-4-5-2-1, but
+        # every path from 0 to 1 without the arc has length 2
+        trap = build(
+            6, [(0, 1), (0, 2), (2, 1), (1, 3), (3, 0), (2, 4), (4, 5), (5, 2)]
+        )
+        assert not arc_on_even_cycle(trap, (0, 1))
 
     def test_absent_arc_rejected(self):
         with pytest.raises(ValueError, match="not present"):
             arc_on_even_cycle(build(2, [(0, 1)]), (1, 0))
 
     def test_bridges_of_dense_graphs(self):
-        # a simple-path search from the tail of these arcs walks every path
-        # of K_11 (seconds); a bridge lies on no cycle, even or odd
+        # a bridge lies on no cycle, even or odd, however many paths
+        # leave its tail
         k11 = list(combinations(range(11), 2))
         for arc in [(0, 11), (11, 0)]:
             g = build(12, k11 + [arc])
@@ -208,6 +214,30 @@ class TestArcOnEvenCycle:
         for arc in [(5, 6), (6, 5)]:
             g = build(12, k6 + [(a + 6, b + 6) for a, b in k6] + [arc])
             assert not arc_on_even_cycle(g, arc)
+
+    def test_complete_bipartite_plus_inside_edges(self):
+        # K_{a,b} minus the inside arc (0, 1) is bipartite with 0 and 1 on
+        # one side, so every 0-1 path is even; a second inside edge (2, 3)
+        # makes the odd path 0, a, 2, 3, a + 1, 1
+        for a in range(2, 9):
+            for b in range(1, 9):
+                kab = [(i, a + j) for i in range(a) for j in range(b)]
+                assert not arc_on_even_cycle(build(a + b, kab + [(0, 1)]), (0, 1))
+                if a >= 4 and b >= 2:
+                    g = build(a + b, kab + [(0, 1), (2, 3)])
+                    assert arc_on_even_cycle(g, (0, 1))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_every_arc_of_every_small_class(self, n):
+        seen = Counter()
+        for m in range(n - 1, comb(n, 2) + 1):
+            for ug in enumerate_connected_underlying(n, m, max_n=n):
+                g = build(n, ug.edges)
+                for arc in g.arcs:
+                    want = nx_arc_on_even_cycle(g, arc)
+                    assert arc_on_even_cycle(g, arc) == want, (g, arc)
+                    seen[want] += 1
+        assert seen[False] and (seen[True] or n < 4)
 
     def test_vs_path_listing(self):
         rng = random.Random(2005)
