@@ -45,7 +45,7 @@ exit codes:
   0  success (verify: verdict pass)
   1  a verification subcommand reported a failure
   2  command-line usage error
-  3  invalid graph input (parse error or invariant violation)
+  3  invalid graph input (unreadable file, parse error or invariant violation)
   4  parameter outside an operation's valid window
   5  internal error: an exactness check failed or an unexpected exception
      (a bug; please report)
@@ -299,7 +299,9 @@ def main(argv=None) -> int:
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GRAPH_ERROR
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # --file is missing, a directory, unreadable or not text; a
+        # UnicodeDecodeError is a ValueError, so this clause comes first
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GRAPH_ERROR
     except ValueError as exc:

@@ -1,8 +1,8 @@
 """Exhaustive desk-scale search for minimum-skew-energy oriented graphs.
 
 Pipeline: enumerate the connected underlying graphs up to isomorphism,
-as one int64 array of canonical keys per (n, m); read every class's
-degrees, M(G,2) and q(G) off the adjacency cube those keys describe;
+as one int64 array of canonical keys per (n, m), each class with its
+max degree, M(G,2) and q(G), carried from the class it grew from;
 census only the classes whose bound M(G,2) - 2q(G) on a_4 is at most
 the predicted construction's a_4, keeping the vectors whose a_4 is too;
 and compare those against it.  Every 4-cycle weighs +-2 in a_4 (Hou and
@@ -36,6 +36,8 @@ filter of McKay's canonical augmentation ("Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998), which loses no class because
 deleting such an edge from any class leaves a connected (n, m-1) class.
 The filter runs in numpy over (parent, non-edge, edge) arrays.
+A child P + uv has q(P) + (A^3)_uv 4-cycles for P's adjacency A, one
+per walk u-a-b-v, and its degrees and M(G,2) follow from P's degrees.
 Completeness is checked at run time: over the classes, sum n!/|Aut| must
 equal the labelled connected count, or enumeration raises RuntimeError.
 Keys are decoded into graphs only for enumerate_connected_underlying's
@@ -57,7 +59,8 @@ from .charpoly import QuasiOrder, SkewCharPoly, _newton, _trace_batch, charpoly,
 from .energy import energy_from_even_coeffs, energy_from_even_coeffs_precise
 from .graphs import UndirectedGraph, _spanning_forest, construct_b_plus, construct_o_plus
 # count_quadrangles is a public name here too (perfbench/spans.py wraps it),
-# though the scans count 4-cycles from the adjacency cube (_class_counts)
+# though the scans take q(G) from enumeration, which carries it from the
+# parent class (_grown)
 from .subgraphs import count_quadrangles  # noqa: F401
 
 __all__ = [
@@ -76,8 +79,8 @@ __all__ = [
 DEFAULT_MAX_N = 9
 _ORIENTATION_GUARD = 30  # a census stands for 2^m orientations
 _CENSUS_CHUNK = 4096
-_CANON_CHUNK = 256  # children per _canonical_batch call; larger ones raise peak RSS
-_CUBE_CHUNK = 128  # parents per filter step, or classes per count; bounds peak RSS
+_CANON_CHUNK = 1024  # children per _canonical_batch call; larger ones raise peak RSS
+_CUBE_CHUNK = 128  # parents per filter step, or classes per decode; bounds peak RSS
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +120,15 @@ def _canonical_batch(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"the batched canonical search needs n <= 62, got n = {n}")
     verts = np.arange(n, dtype=np.int64)
     bit = np.int64(1) << verts
-    cube = (adj[:, :, None] >> verts) & 1  # cube[b, v, x]: v ~ x in graph b
-    deg = cube.sum(axis=2)
+    # degrees from the masks' bits, one byte each: an int64 cube is 8 times larger
+    octets = np.ascontiguousarray(adj, dtype="<i8").view(np.uint8).reshape(count, n, 8)
+    deg = np.unpackbits(octets, axis=2, count=n, bitorder="little").sum(axis=2, dtype=np.int64)
     wants = -np.sort(-deg, axis=1)
     closed = adj | bit
     lower = (  # lower[b, v, u]: u < v, and u and v are twins
         (adj[:, :, None] == adj[:, None, :]) | (closed[:, :, None] == closed[:, None, :])
     ) & (verts[:, None] > verts)
-    lower_twins = (lower * bit).sum(axis=2)
+    lower_twins = _masks(lower)
     # prod over vertices of (1 + lower twins) is prod over classes of |class|!
     twin_swaps = np.prod((lower.sum(axis=2) + 1).astype(object), axis=1)
 
@@ -147,7 +151,7 @@ def _canonical_batch(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         owner = owner[e]
         starts = np.flatnonzero(np.diff(owner, prepend=-1))
         used = used[e] | bit[v]
-        rows = rows[e] | (cube[owner, v] << (n - 1 - d))
+        rows = rows[e] | ((adj[owner, v, None] >> verts) & 1) << (n - 1 - d)
     return keys, np.bincount(owner, minlength=count).astype(object) * twin_swaps
 
 
@@ -164,8 +168,8 @@ def _cube(keys: np.ndarray) -> np.ndarray:
 
 
 def _masks(cube: np.ndarray) -> np.ndarray:
-    """(K, n) int64 adjacency masks of an adjacency cube."""
-    return (cube * (np.int64(1) << np.arange(cube.shape[1], dtype=np.int64))).sum(axis=2)
+    """(K, n) int64 adjacency masks of a 0/1 adjacency cube."""
+    return cube @ (np.int64(1) << np.arange(cube.shape[1], dtype=np.int64))
 
 
 def _common(cube: np.ndarray) -> np.ndarray:
@@ -239,20 +243,38 @@ def _edge_sides(adj: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         side = grown
 
 
-def _pendant_children(trees: np.ndarray, n: int) -> np.ndarray:
-    """Adjacency masks of every tree on n-1 vertices plus a leaf n-1 at each vertex."""
+def _grown(stats: np.ndarray, edges: int, du, dv, walks) -> np.ndarray:
+    """(3, C) int32 stats of children P + uv, u !~ v, from their parents' stats.
+
+    A class's stats are its max degree, M(G,2) and q(G).  uv raises the
+    degrees of u and v by one; it makes a 2-matching with each of P's
+    edges that misses both ends, edges - du - dv of them; and it closes
+    one 4-cycle per walk u-a-b-v, walks = (A^3)_uv for P's adjacency A.
+    """
+    return np.stack(
+        (np.maximum(stats[0], np.maximum(du, dv) + 1), stats[1] + edges - du - dv, stats[2] + walks)
+    ).astype(np.int32)
+
+
+def _pendant_children(trees: np.ndarray, stats: np.ndarray, n: int):
+    """Adjacency masks and stats of every tree on n-1 vertices plus a leaf
+    n-1 at each vertex."""
     bit = np.int64(1) << np.arange(n, dtype=np.int64)
+    cube = _cube(trees)
     adj = np.zeros((len(trees), n), dtype=np.int64)
-    adj[:, :-1] = _masks(_cube(trees))
+    adj[:, :-1] = _masks(cube)
     children = np.repeat(adj[:, None, :], n - 1, axis=1)
     v = np.arange(n - 1)
     children[:, v, v] |= bit[-1]
     children[:, v, -1] = bit[v]
-    return children.reshape(-1, n)
+    # the new leaf has degree 0 in the parent, and a pendant edge closes no cycle
+    grown = _grown(np.repeat(stats, n - 1, axis=1), n - 2, cube.sum(axis=2).reshape(-1), 0, 0)
+    return children.reshape(-1, n), grown
 
 
-def _deletion_filter(parents: np.ndarray, n: int):
-    """Adjacency masks of the children P + uv that pass the filter, per chunk.
+def _deletion_filter(parents: np.ndarray, stats: np.ndarray, n: int):
+    """Adjacency masks and stats (_grown) of the children P + uv that pass
+    the filter, per chunk.
 
     A child passes when no cycle edge of it has a larger invariant
     (max degree, min degree, common neighbours) than uv, each packed
@@ -268,7 +290,9 @@ def _deletion_filter(parents: np.ndarray, n: int):
       exactly when its side (_edge_sides) holds one of u and v.
 
     So a parent cycle edge above uv's invariant rejects the child
-    outright; only the children it leaves are checked edge by edge.
+    outright; only the children it leaves are checked edge by edge.  The
+    stats of a child that passes come from its parent's: as u !~ v, the
+    walks u-a-b-v, the 4-cycles through uv, number (A.A.A)_uv.
     """
     verts = np.arange(n, dtype=np.int64)
     bit = np.int64(1) << verts
@@ -311,18 +335,21 @@ def _deletion_filter(parents: np.ndarray, n: int):
         children = adj[p]
         children[np.arange(len(p)), u] |= bit[v]
         children[np.arange(len(p)), v] |= bit[u]
-        yield children
+        walks = (common @ cube)[p, u, v]
+        parent = stats[:, start:start + _CUBE_CHUNK][:, p]
+        yield children, _grown(parent, x.shape[1], deg[p, u], deg[p, v], walks)
 
 
-def _frozen(keys: np.ndarray) -> np.ndarray:
-    keys.flags.writeable = False
-    return keys
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @lru_cache(maxsize=None)
-def _connected_classes(n: int, m: int) -> np.ndarray:
-    """Connected classes with n vertices and m edges, as a (K, n) int64
-    array of canonical keys, in increasing row order.
+def _connected_classes(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Connected classes with n vertices and m edges: a (K, n) int64
+    array of canonical keys, in increasing row order, and the (3, K)
+    int32 stats of the same classes, rows max degree, M(G,2) and q(G).
 
     Trees (m = n-1) grow from the trees on n-1 vertices by a pendant
     vertex, since a tree less a leaf is a tree.  Every connected graph C
@@ -342,35 +369,41 @@ def _connected_classes(n: int, m: int) -> np.ndarray:
     _canonical_batch, and deduplicated by sorting the key rows, which
     orders them as their tuples would, every key being nonnegative.  So
     the output does not depend on which child reached a class first.
-    Before returning, the classes' |Aut| values must satisfy
-    sum n!/|Aut| = labelled connected count.  The cached array is
-    read-only, since every caller shares it; parents become adjacency
-    masks by bit operations on their keys (_cube, _masks).
+    Every child is born with its stats, derived from its parent's
+    (_grown); isomorphic children have equal stats, so each class keeps
+    those of its first sorted row.  Before returning, the classes' |Aut|
+    values must satisfy sum n!/|Aut| = labelled connected count.  Both
+    cached arrays are read-only, since every caller shares them; parents
+    become adjacency masks by bit operations on their keys (_cube,
+    _masks).
     """
-    if m < n - 1 or m > comb(n, 2):
-        return _frozen(np.zeros((0, n), dtype=np.int64))
-    if n == 1:
-        return _frozen(np.zeros((1, 1), dtype=np.int64))
+    if m < n - 1 or m > comb(n, 2) or n == 1:
+        count = int(m == n - 1)  # K_1, or no class
+        keys, stats = np.zeros((count, n), dtype=np.int64), np.zeros((3, count), dtype=np.int32)
+        return _frozen(keys), _frozen(stats)
     if m == n - 1:
-        blocks = [_pendant_children(_connected_classes(n - 1, m - 1), n)]
+        blocks = [_pendant_children(*_connected_classes(n - 1, m - 1), n)]
     else:
-        blocks = _deletion_filter(_connected_classes(n, m - 1), n)
-    keys, auts = [], []
-    for children in blocks:
+        blocks = _deletion_filter(*_connected_classes(n, m - 1), n)
+    keys, auts, stats = [], [], []
+    for children, grown in blocks:
+        stats.append(grown)
         for start in range(0, len(children), _CANON_CHUNK):
             batch_keys, batch_auts = _canonical_batch(children[start:start + _CANON_CHUNK])
             keys.append(batch_keys)
             auts.append(batch_auts)
-    keys, auts = np.concatenate(keys), np.concatenate(auts)
+    keys, auts, stats = np.concatenate(keys), np.concatenate(auts), np.concatenate(stats, axis=1)
     order = np.lexsort(keys.T[::-1])
-    keys, auts = keys[order], auts[order]
+    for column in keys.T:  # sorted in place, so only one column is ever copied
+        column[:] = column[order]
     first = np.ones(len(keys), dtype=bool)
     first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    _check_complete(n, m, auts[first])
-    return _frozen(keys[first])
+    kept = order[first]
+    _check_complete(n, m, auts[kept])
+    return _frozen(keys[first]), _frozen(stats[:, kept])
 
 
-def _class_keys(n: int, m: int, max_n: int) -> np.ndarray:
+def _classes(n: int, m: int, max_n: int) -> tuple[np.ndarray, np.ndarray]:
     """_connected_classes(n, m), after the checks every public caller makes."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -384,37 +417,13 @@ def _class_keys(n: int, m: int, max_n: int) -> np.ndarray:
     return _connected_classes(n, m)
 
 
-def _class_counts(keys: np.ndarray) -> np.ndarray:
-    """(3, K) int64: max degree, M(G,2) and q(G) of every class, from its cube.
-
-    M(G,2) = C(m,2) - sum_v C(d_v,2): of all pairs of edges, exactly
-    those sharing a vertex are not 2-matchings.  Each pair of common
-    neighbours of a pair a < c closes one 4-cycle with diagonal ac, and
-    each 4-cycle has two diagonals, so q(G) is half the sum of
-    C(|N(a) & N(c)|, 2) over pairs a < c, that is the sum of k(k-1) over
-    the off-diagonal entries k of A.A, over 8.
-    """
-    out = np.empty((3, len(keys)), dtype=np.int64)
-    verts = np.arange(keys.shape[1])
-    for start in range(0, len(keys), _CUBE_CHUNK):
-        common = _common(_cube(keys[start:start + _CUBE_CHUNK]))
-        deg = common[:, verts, verts]
-        m = deg.sum(axis=1) // 2
-        stars = (deg * (deg - 1)).sum(axis=1)
-        block = out[:, start:start + _CUBE_CHUNK]
-        block[0] = deg.max(axis=1)
-        block[1] = m * (m - 1) // 2 - stars // 2
-        block[2] = ((common * (common - 1)).sum(axis=(1, 2)) - stars) // 8
-    return out
-
-
 def enumerate_connected_underlying(
     n: int, m: int, max_n: int = DEFAULT_MAX_N
 ) -> list[UndirectedGraph]:
     """All connected simple graphs with n vertices and m edges, one per class,
     canonically labeled, in the order of their keys; each call decodes them
     afresh from the cached keys."""
-    return _class_graphs(_class_keys(n, m, max_n))
+    return _class_graphs(_classes(n, m, max_n)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +577,7 @@ def verify_theorem_1(n: int, m: int, max_n: int = DEFAULT_MAX_N) -> MinimalityCe
     is the one _decide reads.
     """
     _check_window(n, m)
-    keys = _class_keys(n, m, max_n)
+    keys, (_, two_matchings, quads) = _classes(n, m, max_n)
     predicted = predicted_family(n, m)
     o_vec = charpoly(construct_o_plus(n, m)).coeffs
     b_vec = charpoly(construct_b_plus(n, m)).coeffs
@@ -587,7 +596,6 @@ def verify_theorem_1(n: int, m: int, max_n: int = DEFAULT_MAX_N) -> MinimalityCe
             f"the target {target} has a nonzero coefficient past a_4; this is a bug"
         )
 
-    _, two_matchings, quads = _class_counts(keys)
     bound = two_matchings - 2 * quads
     near = bound <= target[2]
     census: Counter = Counter()
@@ -636,13 +644,12 @@ def _quadrangle_bound(n: int, m: int, max_n: int, dominating_only: bool) -> Boun
     """The bound over every class, or only those with a dominating vertex.
 
     A dominating vertex lowers the bound from C(m-n+2, 2) to C(m-n+1, 2).
-    Degrees and q(G) come from the classes' keys (_class_counts); only
-    the violators are decoded into graphs.
+    The max degree and q(G) come from enumeration's stats
+    (_connected_classes); only the violators are decoded into graphs.
     """
     _check_window(n, m)
     bound = comb(m - n + (1 if dominating_only else 2), 2)
-    keys = _class_keys(n, m, max_n)
-    max_degree, _, quads = _class_counts(keys)
+    keys, (max_degree, _, quads) = _classes(n, m, max_n)
     if dominating_only:
         keys, quads = keys[max_degree == n - 1], quads[max_degree == n - 1]
     violations = tuple(ug.edges for ug in _class_graphs(keys[quads > bound]))

@@ -75,6 +75,17 @@ class TestExitCodes:
     def test_missing_file_is_3(self, capsys):
         assert main(["charpoly", "--file", "/nonexistent/x.graph"]) == 3
 
+    def test_directory_as_file_is_3(self, tmp_path, capsys):
+        assert main(["charpoly", "--file", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "internal error" not in err
+
+    def test_file_that_is_not_text_is_3(self, tmp_path, capsys):
+        binary = tmp_path / "binary.graph"
+        binary.write_bytes(b"3 2\n0 1\n\xff\xfe\x00\x81\n")
+        assert main(["charpoly", "--file", str(binary)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_domain_error_is_4(self, capsys):
         assert main(["verify", "--n", "6", "--m", "8"]) == 4
         assert "open boundary" in capsys.readouterr().err

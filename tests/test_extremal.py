@@ -23,7 +23,6 @@ from skewenergy.cli import main
 from skewenergy.extremal import (
     _canonical_batch,
     _check_complete,
-    _class_counts,
     _class_graphs,
     _connected_classes,
     _decide,
@@ -126,7 +125,7 @@ class TestCanonical:
         rng = random.Random(5001)
         for n in range(1, 8):
             for m in range(n - 1, comb(n, 2) + 1):
-                keys = _connected_classes(n, m)
+                keys, _ = _connected_classes(n, m)
                 classes = _class_graphs(keys)
                 shuffled = [_relabeled(ug, rng) for ug in classes]
                 got = _batch(classes + shuffled)
@@ -175,24 +174,25 @@ class TestCanonical:
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_chunk_boundaries_leave_the_classes_unchanged(self, monkeypatch, chunk):
-        # canonical batches of 1 or 7 children, filter and count steps of
-        # 7 parents or classes
+        # canonical batches of 1 or 7 children and filter steps of 7
+        # parents give the same keys, and the same stats carried from
+        # each class's parent
         want = {m: _connected_classes(7, m) for m in range(6, 22)}
-        counts = {m: _class_counts(want[m]) for m in want}
         _connected_classes.cache_clear()
         monkeypatch.setattr(extremal, "_CANON_CHUNK", chunk)
         monkeypatch.setattr(extremal, "_CUBE_CHUNK", 7)
         try:
             for m in range(6, 22):
-                assert np.array_equal(_connected_classes(7, m), want[m]), m
-                assert np.array_equal(_class_counts(want[m]), counts[m]), m
+                keys, stats = _connected_classes(7, m)
+                assert np.array_equal(keys, want[m][0]), m
+                assert np.array_equal(stats, want[m][1]), m
         finally:
             _connected_classes.cache_clear()
 
 
 class TestClassEnumeration:
     def test_tree_counts(self):
-        trees = [len(_connected_classes(n, n - 1)) for n in range(1, 9)]
+        trees = [len(_connected_classes(n, n - 1)[0]) for n in range(1, 9)]
         assert trees == [1, 1, 1, 2, 3, 6, 11, 23]
 
     def test_repeated_calls_share_the_cached_classes(self):
@@ -201,14 +201,16 @@ class TestClassEnumeration:
         first = enumerate_connected_underlying(6, 7)
         second = enumerate_connected_underlying(6, 7)
         assert first is not second and first == second
-        assert [g.edges for g in first] == [g.edges for g in _class_graphs(_connected_classes(6, 7))]
+        assert [g.edges for g in first] == [g.edges for g in _class_graphs(_connected_classes(6, 7)[0])]
 
     def test_cached_keys_are_read_only(self):
-        keys = _connected_classes(6, 7)
+        keys, stats = _connected_classes(6, 7)
         assert keys.dtype == np.int64 and keys.shape == (19, 6)
-        assert not keys.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            keys[0, 0] = 1
+        assert stats.dtype == np.int32 and stats.shape == (3, 19)
+        for array in (keys, stats):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1
         assert keys.tolist() == sorted(keys.tolist())
 
     def test_class_list_golden(self):
@@ -243,7 +245,7 @@ class TestClassEnumeration:
     @pytest.mark.parametrize("n,top", [(n, comb(n, 2)) for n in range(1, 8)] + [(8, 11), (9, 10)])
     def test_filter_matches_unfiltered_augmentation(self, n, top):
         for m in range(n - 1, top + 1):
-            ours = tuple(g.edges for g in _class_graphs(_connected_classes(n, m)))
+            ours = tuple(g.edges for g in _class_graphs(_connected_classes(n, m)[0]))
             assert ours == augment_every_non_edge(n, m), (n, m)
 
     def test_edge_sides_match_networkx_bridges(self):
@@ -557,8 +559,7 @@ class TestWalshCensus:
         tight = 0
         for n in range(4, 8):  # a_4 needs four vertices
             for m in range(n - 1, comb(n, 2) + 1):
-                keys = _connected_classes(n, m)
-                _, two, quads = _class_counts(keys)
+                keys, (_, two, quads) = _connected_classes(n, m)
                 for ug, low in zip(_class_graphs(keys), (two - 2 * quads).tolist()):
                     least = min(vec[2] for vec in orientation_coefficient_census(ug))
                     assert least >= low, (n, m, ug.edges)
@@ -663,12 +664,14 @@ class TestQuadrangleBounds:
         assert report.bound == comb(m - n + 1, 2)
 
     def test_class_counts_match_single_graph_counts(self):
-        # max degree, M(G,2) and q(G) off the adjacency cube, against the
-        # single-graph routes for n <= 8 and the subset scans for n <= 6
-        for n in range(2, 9):
+        # max degree, M(G,2) and q(G) as enumeration carries them from each
+        # class's parent, against the single-graph routes for n <= 8 and
+        # the subset scans for n <= 6
+        for n in range(1, 9):
             for m in range(n - 1, comb(n, 2) + 1):
-                keys = _connected_classes(n, m)
-                for ug, (top, two, quads) in zip(_class_graphs(keys), _class_counts(keys).T.tolist()):
+                keys, stats = _connected_classes(n, m)
+                assert stats.shape == (3, len(keys)), (n, m)
+                for ug, (top, two, quads) in zip(_class_graphs(keys), stats.T.tolist()):
                     assert top == ug.max_degree()
                     assert two == _two_matching_count(ug.m, ug.degrees())
                     assert quads == count_quadrangles(ug)
