@@ -36,7 +36,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import OrientedGraph, delete_arc, delete_vertices, skew_adjacency, underlying
+from .graphs import (
+    OrientedGraph,
+    _vertices,
+    delete_arc,
+    delete_vertices,
+    skew_adjacency,
+    underlying,
+)
 from .subgraphs import arc_on_even_cycle
 
 __all__ = [
@@ -211,7 +218,7 @@ def charpoly_delete_arc(g: OrientedGraph, arc: tuple[int, int]) -> SkewCharPoly:
     The arc must be present and must avoid every even cycle; both
     conditions are checked.
     """
-    u, v = int(arc[0]), int(arc[1])
+    u, v = _vertices(g.n, arc)
     if (u, v) not in g.arc_set:
         raise ValueError(f"arc ({u},{v}) is not present in the graph")
     if arc_on_even_cycle(g, (u, v)):
@@ -229,9 +236,9 @@ def pendant_coefficients(g: OrientedGraph, u: int, v: int) -> SkewCharPoly:
     between u and v (g - e is g - v with v isolated), and a pendant arc
     lies on no cycle, so no even-cycle search is run.
     """
-    u, v = int(u), int(v)
+    u, v = _vertices(g.n, (u, v))
     adj = underlying(g).adjacency_sets()
-    if not (0 <= v < g.n) or adj[v] != {u}:
+    if adj[v] != {u}:
         raise ValueError(f"vertex {v} is not a pendant vertex attached to {u}")
     return _deletion_identity(g, (u, v) if (u, v) in g.arc_set else (v, u))
 

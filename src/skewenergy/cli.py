@@ -2,7 +2,9 @@
 
 Subcommands: charpoly, energy, compare, construct, verify,
 verify-oracle, crossover.  Graphs come from oriented edge list files
-(--file) or from the named constructions (--construct with --n/--m).
+(--file) or from the named constructions (--construct with --n/--m);
+one table, _CONSTRUCTIONS, maps each construction's name to its builder
+and says whether it takes --m.
 energy and crossover print TSV unless given --emit json, and verify
 prints JSON unless given --emit tsv.
 All output is deterministic for fixed input and flags.
@@ -16,6 +18,7 @@ import json
 import math
 import sys
 from decimal import Decimal
+from functools import partial
 
 from .charpoly import charpoly, quasi_compare
 from .energy import energy_report
@@ -51,38 +54,36 @@ exit codes:
      (a bug; please report)
 """
 
-_CONSTRUCTIONS = ("o-plus", "b-plus", "star", "path", "cycle-odd", "cycle-even")
+# each construction's builder, and whether it takes an arc count --m
+_CONSTRUCTIONS = {
+    "o-plus": (construct_o_plus, True),
+    "b-plus": (construct_b_plus, True),
+    "star": (oriented_star, False),
+    "path": (oriented_path, False),
+    "cycle-odd": (partial(oriented_cycle, parity="odd"), False),
+    "cycle-even": (partial(oriented_cycle, parity="even"), False),
+}
 
 
 def _construct(name: str, n: int | None, m: int | None) -> OrientedGraph:
     if n is None:
         raise ValueError(f"--construct {name} needs --n")
-    if name == "o-plus":
-        if m is None:
-            raise ValueError("--construct o-plus needs --m")
-        return construct_o_plus(n, m)
-    if name == "b-plus":
-        if m is None:
-            raise ValueError("--construct b-plus needs --m")
-        return construct_b_plus(n, m)
-    if m is not None:
-        raise ValueError(f"--construct {name} takes no --m: n fixes its arcs")
-    if name == "star":
-        return oriented_star(n)
-    if name == "path":
-        return oriented_path(n)
-    if name == "cycle-odd":
-        return oriented_cycle(n, "odd")
-    if name == "cycle-even":
-        return oriented_cycle(n, "even")
-    raise ValueError(f"unknown construction {name!r}")
+    builder, takes_m = _CONSTRUCTIONS[name]
+    if not takes_m:
+        if m is not None:
+            raise ValueError(f"--construct {name} takes no --m: n fixes its arcs")
+        return builder(n)
+    if m is None:
+        raise ValueError(f"--construct {name} needs --m")
+    return builder(n, m)
 
 
 def _add_source_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--file", help="path to an oriented edge list file ('-' for stdin)")
     sub.add_argument("--construct", choices=_CONSTRUCTIONS, help="use a named construction")
     sub.add_argument("--n", type=int, help="vertex count for --construct")
-    sub.add_argument("--m", type=int, help="arc count for --construct (o-plus, b-plus)")
+    takes_m = ", ".join(name for name, (_, m) in _CONSTRUCTIONS.items() if m)
+    sub.add_argument("--m", type=int, help=f"arc count for --construct ({takes_m})")
 
 
 def _read_text(path: str) -> str:
@@ -211,7 +212,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     cert = verify_theorem_1(args.n, args.m)
-    _emit(args.emit, cert.to_dict())
+    _emit(args.emit, dataclasses.asdict(cert))
     return EXIT_OK if cert.verdict == "pass" else EXIT_VERIFY_FAILED
 
 

@@ -7,6 +7,14 @@ indices 0 and 1.  All types here are immutable, so one instance can be
 shared by every caller.  (The class enumeration caches no graphs: it
 keeps each (n, m)'s classes as an int64 array of canonical keys.)
 
+One rule decides what a vertex is, for both graph types, the parser and
+every function here or in charpoly and subgraphs that takes a vertex
+(_vertex_count, _vertices, _pairs): the vertex count n and every index
+are integers by ``operator.index``, kept as Python ints (bools, floats
+and strings are refused); n >= 1 and every index v has 0 <= v < n; and
+a list of pairs holds no loop and no unordered pair twice.  A violation
+raises GraphError.
+
 Text interchange format ("oriented edge list"): the first significant
 line is "n m", followed by exactly m lines "t h" giving the tail and
 head of each arc.  Blank lines and lines starting with '#' are ignored.
@@ -16,8 +24,9 @@ reproduces G exactly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -53,35 +62,71 @@ class ParseError(GraphError):
         self.line_no = line_no
 
 
+def _integer(x) -> int | None:
+    """x as a Python int by operator.index, or None for a bool or a non-integer."""
+    if isinstance(x, bool):
+        return None
+    try:
+        return operator.index(x)
+    except TypeError:
+        return None
+
+
+def _vertex_count(n) -> int:
+    """n as a Python int, if it is a positive integer."""
+    count = _integer(n)
+    if count is None or count < 1:
+        raise GraphError(f"vertex count must be a positive integer, got {n!r}")
+    return count
+
+
+def _vertices(n: int, vs: Iterable) -> tuple[int, ...]:
+    """vs as Python ints, each an integer index v with 0 <= v < n."""
+    out = []
+    for v in vs:
+        i = v if type(v) is int else _integer(v)  # the common case, without a call
+        if i is None:
+            raise GraphError(f"index {v!r} is not an integer")
+        if not 0 <= i < n:
+            raise GraphError(f"index {i} out of range for n={n}")
+        out.append(i)
+    return tuple(out)
+
+
+def _pairs(n: int, pairs: Iterable) -> tuple[tuple[int, int], ...]:
+    """pairs as (u, v) tuples of indices (_vertices), in their given order,
+    with no loop and no unordered pair twice."""
+    out: list[tuple[int, int]] = []
+    seen: set[int] = set()  # low * n + high for each unordered pair
+    for pair in pairs:
+        u, v = _vertices(n, pair)
+        if u == v:
+            raise GraphError(f"loop ({u},{v}) is not allowed")
+        key = u * n + v if u < v else v * n + u
+        if key in seen:
+            raise GraphError(f"({u},{v}) repeats the unordered pair {divmod(key, n)}")
+        seen.add(key)
+        out.append((u, v))
+    return tuple(out)
+
+
 @dataclass(frozen=True, eq=False)
 class OrientedGraph:
     """Simple graph with every edge given a direction.
 
-    Arcs are (tail, head) pairs of 0-based vertex indices.  Loops and
-    repeated unordered pairs (including opposite arc pairs) are
-    rejected, so each adjacent pair carries exactly one arc and the
-    skew-adjacency entries are well defined.  Arc order is preserved
-    and drives serialization; equality ignores it.
+    Arcs are (tail, head) pairs checked by the module's vertex rule, so
+    each adjacent pair carries exactly one arc and the skew-adjacency
+    entries are well defined.  Arc order is preserved and drives
+    serialization; equality ignores it.
     """
 
     n: int
     arcs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise GraphError(f"vertex count must be a positive integer, got {self.n!r}")
-        arcs = tuple((int(t), int(h)) for t, h in self.arcs)
-        object.__setattr__(self, "arcs", arcs)
-        seen: set[tuple[int, int]] = set()
-        for t, h in arcs:
-            if t == h:
-                raise GraphError(f"loop arc ({t},{h}) is not allowed")
-            if not (0 <= t < self.n and 0 <= h < self.n):
-                raise GraphError(f"arc ({t},{h}) has an index out of range for n={self.n}")
-            pair = (t, h) if t < h else (h, t)
-            if pair in seen:
-                raise GraphError(f"arc ({t},{h}) repeats the unordered pair {pair}")
-            seen.add(pair)
+        n = _vertex_count(self.n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "arcs", _pairs(n, self.arcs))
 
     @property
     def m(self) -> int:
@@ -118,22 +163,10 @@ class UndirectedGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise GraphError(f"vertex count must be a positive integer, got {self.n!r}")
-        norm = []
-        seen: set[tuple[int, int]] = set()
-        for u, v in self.edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise GraphError(f"loop edge ({u},{v}) is not allowed")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphError(f"edge ({u},{v}) has an index out of range for n={self.n}")
-            pair = (u, v) if u < v else (v, u)
-            if pair in seen:
-                raise GraphError(f"edge {pair} repeated")
-            seen.add(pair)
-            norm.append(pair)
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
+        n = _vertex_count(self.n)
+        edges = ((u, v) if u < v else (v, u) for u, v in _pairs(n, self.edges))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", tuple(sorted(edges)))
 
     @property
     def m(self) -> int:
@@ -291,13 +324,44 @@ def oriented_cycle(n: int, parity: str) -> OrientedGraph:
 
 
 def parse_graph(text: str) -> OrientedGraph:
-    """Parse the oriented edge list format, with positioned diagnostics."""
-    header: tuple[int, int] | None = None
-    arcs: list[tuple[int, int]] = []
-    seen_pairs: set[tuple[int, int]] = set()
-    last_line = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        last_line = line_no
+    """Parse the oriented edge list format, with positioned diagnostics.
+
+    The text fixes the header, two integer tokens per line and the arc
+    count; OrientedGraph checks each arc once, as it reads it, and a
+    violation is reported at that arc's line.
+    """
+    lines = text.splitlines()
+    end = max(len(lines), 1)
+    rows = _integer_rows(lines)
+    header = next(rows, None)
+    if header is None:
+        raise ParseError(end, "missing header line 'n m'")
+    line_no, (n, m) = header
+    if m < 0:
+        raise ParseError(line_no, f"arc count must be nonnegative, got {m}")
+
+    def arcs():
+        nonlocal line_no  # the line of the arc being read, for a GraphError
+        for k, (line_no, arc) in enumerate(rows):
+            if k == m:
+                raise ParseError(line_no, f"more than the declared {m} arcs")
+            yield arc
+
+    try:
+        g = OrientedGraph(n, arcs())
+    except ParseError:
+        raise
+    except GraphError as exc:
+        raise ParseError(line_no, str(exc)) from None
+    if g.m != m:
+        raise ParseError(end, f"declared {m} arcs but found {g.m}")
+    return g
+
+
+def _integer_rows(lines: list[str]) -> Iterator[tuple[int, tuple[int, int]]]:
+    """(1-based line number, its two integers) for each significant line;
+    blank lines and '#' comments are skipped."""
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -305,35 +369,10 @@ def parse_graph(text: str) -> OrientedGraph:
         if len(parts) != 2:
             raise ParseError(line_no, f"expected two whitespace-separated integers, got {line!r}")
         try:
-            a, b = int(parts[0]), int(parts[1])
+            pair = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(line_no, f"expected two integers, got {line!r}") from None
-        if header is None:
-            if a < 1:
-                raise ParseError(line_no, f"vertex count must be positive, got {a}")
-            if b < 0:
-                raise ParseError(line_no, f"arc count must be nonnegative, got {b}")
-            header = (a, b)
-            continue
-        n, m = header
-        if len(arcs) == m:
-            raise ParseError(line_no, f"more than the declared {m} arcs")
-        for idx in (a, b):
-            if not (0 <= idx < n):
-                raise ParseError(line_no, f"index {idx} out of range for n={n}")
-        if a == b:
-            raise ParseError(line_no, f"loop arc ({a},{b})")
-        pair = (a, b) if a < b else (b, a)
-        if pair in seen_pairs:
-            raise ParseError(line_no, f"arc ({a},{b}) repeats the unordered pair {pair}")
-        seen_pairs.add(pair)
-        arcs.append((a, b))
-    if header is None:
-        raise ParseError(max(last_line, 1), "missing header line 'n m'")
-    n, m = header
-    if len(arcs) != m:
-        raise ParseError(max(last_line, 1), f"declared {m} arcs but found {len(arcs)}")
-    return OrientedGraph(n, tuple(arcs))
+        yield line_no, pair
 
 
 def serialize_graph(g: OrientedGraph) -> str:
@@ -345,7 +384,7 @@ def serialize_graph(g: OrientedGraph) -> str:
 
 def delete_arc(g: OrientedGraph, arc: tuple[int, int]) -> OrientedGraph:
     """Remove one arc, keeping all vertices and the remaining arc order."""
-    arc = (int(arc[0]), int(arc[1]))
+    arc = _vertices(g.n, arc)
     if arc not in g.arc_set:
         hint = ""
         if (arc[1], arc[0]) in g.arc_set:
@@ -356,10 +395,7 @@ def delete_arc(g: OrientedGraph, arc: tuple[int, int]) -> OrientedGraph:
 
 def delete_vertices(g: OrientedGraph, dead: Iterable[int]) -> OrientedGraph:
     """Remove vertices and their arcs; survivors are relabeled in order."""
-    gone = set(int(v) for v in dead)
-    for v in gone:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
+    gone = set(_vertices(g.n, dead))
     keep = [v for v in range(g.n) if v not in gone]
     if not keep:
         raise ValueError("cannot delete every vertex")

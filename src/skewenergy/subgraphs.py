@@ -20,7 +20,7 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .graphs import OrientedGraph, UndirectedGraph
+from .graphs import OrientedGraph, UndirectedGraph, _vertices
 
 __all__ = [
     "CycleParity",
@@ -133,7 +133,7 @@ def _arc_masks(g: OrientedGraph) -> tuple[list[int], list[int]]:
 
 def cycle_parity(g: OrientedGraph, cycle: Sequence[int]) -> CycleParity:
     """Classify an even cycle, given as a vertex sequence in cyclic order."""
-    seq = [int(v) for v in cycle]
+    seq = list(_vertices(g.n, cycle))
     k = len(seq)
     if k < 3 or len(set(seq)) != k:
         raise ValueError(f"{cycle!r} is not a simple cycle")
@@ -142,7 +142,7 @@ def cycle_parity(g: OrientedGraph, cycle: Sequence[int]) -> CycleParity:
     adj, out = _arc_masks(g)
     along = 0
     for u, v in zip(seq, seq[1:] + seq[:1]):
-        if not (0 <= u < g.n and 0 <= v < g.n) or not adj[u] >> v & 1:
+        if not adj[u] >> v & 1:
             raise ValueError(f"{cycle!r} is not a cycle: {u} and {v} are not adjacent")
         along += out[u] >> v & 1
     return CycleParity.ODDLY_ORIENTED if along % 2 else CycleParity.EVENLY_ORIENTED
@@ -162,7 +162,7 @@ def arc_on_even_cycle(g: OrientedGraph, arc: tuple[int, int]) -> bool:
     and from a bridge no walk reaches v.  Outside H, an odd cycle at a
     cut vertex gives odd walks but no odd path.
     """
-    u, v = int(arc[0]), int(arc[1])
+    u, v = _vertices(g.n, arc)
     if (u, v) not in g.arc_set:
         raise ValueError(f"arc ({u},{v}) is not present")
     n = g.n

@@ -486,9 +486,9 @@ class TestVerify:
         want = (1, m, want_a4) + (0,) * (n // 2 - 2)
         assert cert.min_coeffs == want
 
-    def test_certificate_round_trip(self):
-        cert = verify_theorem_1(5, 5)
-        d = cert.to_dict()
+    def test_certificate_round_trip(self, capsys):
+        assert main(["verify", "--n", "5", "--m", "5"]) == 0
+        d = json.loads(capsys.readouterr().out)
         assert d["predicted"] == "Both"
         assert d["min_coeffs"] == [1, 5, 2]
         assert d["verdict"] == "pass"
@@ -586,12 +586,12 @@ class TestWalshCensus:
         cert = verify_theorem_1(7, 9)
         assert len(censused) == 105
         assert cert.verdict == "fail"
-        assert cert.to_dict() == census_certificate(7, 9, "O_plus").to_dict()
+        assert cert == census_certificate(7, 9, "O_plus")
 
     @pytest.mark.parametrize("n,m", WINDOWS_TO_8)
     def test_matches_full_census(self, n, m):
         want = census_certificate(n, m, predicted_family(n, m))
-        assert verify_theorem_1(n, m).to_dict() == want.to_dict()
+        assert verify_theorem_1(n, m) == want
 
     @pytest.mark.parametrize(
         "forced,n,m,verdict",
@@ -607,7 +607,7 @@ class TestWalshCensus:
         monkeypatch.setattr(extremal, "predicted_family", lambda n, m: forced)
         cert = verify_theorem_1(n, m)
         assert cert.verdict == verdict
-        assert cert.to_dict() == census_certificate(n, m, forced).to_dict()
+        assert cert == census_certificate(n, m, forced)
 
     def test_target_tail_exits_5(self, monkeypatch, capsys):
         # an oddly oriented 6-cycle has a_6 = 4, so a_4 could not decide

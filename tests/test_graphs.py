@@ -5,12 +5,15 @@ import random
 import numpy as np
 import pytest
 
+from skewenergy.charpoly import charpoly_delete_arc, pendant_coefficients
 from skewenergy.graphs import (
     GraphError,
     ParseError,
+    UndirectedGraph,
     build,
     construct_b_plus,
     construct_o_plus,
+    delete_arc,
     delete_vertices,
     oriented_cycle,
     oriented_path,
@@ -20,6 +23,7 @@ from skewenergy.graphs import (
     skew_adjacency,
     underlying,
 )
+from skewenergy.subgraphs import arc_on_even_cycle, cycle_parity
 
 from _oracles import nx_graph, random_connected_oriented, random_oriented
 
@@ -58,6 +62,64 @@ class TestBuild:
         b = build(3, [(1, 2), (0, 1)])
         assert a == b and hash(a) == hash(b)
         assert a != build(3, [(0, 1), (2, 1)])
+
+
+def _parsed(n, pairs):
+    return parse_graph(f"{n} {len(pairs)}\n" + "".join(f"{u} {v}\n" for u, v in pairs))
+
+
+class TestVertexRule:
+    """One rule, one message per violation, for both graph types and the
+    parser, which prefixes the line of the offending arc."""
+
+    @pytest.mark.parametrize(
+        "make,prefix",
+        [(build, ""), (UndirectedGraph, ""), (_parsed, "line 3: ")],
+        ids=["build", "UndirectedGraph", "parse_graph"],
+    )
+    @pytest.mark.parametrize(
+        "pairs,message",
+        [
+            ([(0, 1), (2, 2)], "loop (2,2) is not allowed"),
+            ([(0, 1), (0, 3)], "index 3 out of range for n=3"),
+            ([(0, 1), (1, 0)], "(1,0) repeats the unordered pair (0, 1)"),
+        ],
+        ids=["loop", "range", "repeat"],
+    )
+    def test_shared_message(self, make, prefix, pairs, message):
+        with pytest.raises(GraphError) as exc:
+            make(3, pairs)
+        assert str(exc.value) == prefix + message
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: build(3, [(0, 2.7)]),
+            lambda: build(3, [("1", 2)]),
+            lambda: build(3, [(True, 2)]),
+            lambda: UndirectedGraph(3, [(0, 1.9)]),
+            lambda: delete_arc(oriented_cycle(4, "odd"), (0.5, 1)),
+            lambda: delete_vertices(oriented_cycle(4, "odd"), [1.7]),
+            lambda: arc_on_even_cycle(oriented_cycle(4, "odd"), (0.9, 1)),
+            lambda: charpoly_delete_arc(oriented_path(4), (0.2, 1)),
+            lambda: pendant_coefficients(oriented_path(4), 2.0, 3),
+            lambda: cycle_parity(oriented_cycle(4, "odd"), [0, 1, 2.0, 3]),
+        ],
+        ids=[
+            "build-float", "build-str", "build-bool", "undirected-float",
+            "delete_arc", "delete_vertices", "arc_on_even_cycle",
+            "charpoly_delete_arc", "pendant_coefficients", "cycle_parity",
+        ],
+    )
+    def test_non_integer_index_rejected(self, call):
+        with pytest.raises(GraphError, match="is not an integer"):
+            call()
+
+    def test_numpy_integers_become_python_ints(self):
+        g = build(np.int64(3), [(np.int64(0), np.int64(2))])
+        assert g == build(3, [(0, 2)])
+        assert type(g.n) is int
+        assert all(type(v) is int for arc in g.arcs for v in arc)
 
 
 class TestSkewAdjacency:
