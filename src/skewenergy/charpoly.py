@@ -32,19 +32,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
 from .graphs import (
     OrientedGraph,
+    _arc,
+    _minus_arc,
     _vertices,
-    delete_arc,
     delete_vertices,
     skew_adjacency,
-    underlying,
 )
-from .subgraphs import arc_on_even_cycle
+from .subgraphs import _arc_masks, _on_even_cycle
 
 __all__ = [
     "SkewCharPoly",
@@ -108,7 +107,6 @@ class QuasiOrder(Enum):
     INCOMPARABLE = "Incomparable"
 
 
-@lru_cache(maxsize=None)
 def _int64_recursion_safe(n: int, m: int) -> bool:
     """Whether int64 holds the trace kernel for n x n skew matrices of at most m arcs.
 
@@ -201,7 +199,7 @@ def _coeff_or_zero(p: SkewCharPoly, i: int) -> int:
 def _deletion_identity(g: OrientedGraph, arc: tuple[int, int]) -> SkewCharPoly:
     """charpoly(g) as charpoly(g - e) plus charpoly(g - u - v), aligned by
     powers of x, for a present arc e = (u, v) on no even cycle; unchecked."""
-    minus_arc = charpoly(delete_arc(g, arc))
+    minus_arc = charpoly(_minus_arc(g, arc))
     minus_ends = SkewCharPoly(0, (1,)) if g.n == 2 else charpoly(delete_vertices(g, arc))
     coeffs = tuple(
         _coeff_or_zero(minus_arc, 2 * i) + _coeff_or_zero(minus_ends, 2 * (i - 1))
@@ -215,13 +213,11 @@ def charpoly_delete_arc(g: OrientedGraph, arc: tuple[int, int]) -> SkewCharPoly:
 
     For such an arc e=(u,v): det(xI - S(g)) equals the polynomial of
     g - e plus the polynomial of g - u - v, aligned by powers of x.
-    The arc must be present and must avoid every even cycle; both
-    conditions are checked.
+    The arc must be present (graphs._arc) and must avoid every even
+    cycle; both conditions are checked.
     """
-    u, v = _vertices(g.n, arc)
-    if (u, v) not in g.arc_set:
-        raise ValueError(f"arc ({u},{v}) is not present in the graph")
-    if arc_on_even_cycle(g, (u, v)):
+    u, v = _arc(g, arc)
+    if _on_even_cycle(g, u, v):
         raise ValueError(
             f"arc ({u},{v}) lies on an even cycle; the deletion identity does not apply"
         )
@@ -237,10 +233,10 @@ def pendant_coefficients(g: OrientedGraph, u: int, v: int) -> SkewCharPoly:
     lies on no cycle, so no even-cycle search is run.
     """
     u, v = _vertices(g.n, (u, v))
-    adj = underlying(g).adjacency_sets()
-    if adj[v] != {u}:
+    adj, out = _arc_masks(g)
+    if adj[v] != 1 << u:
         raise ValueError(f"vertex {v} is not a pendant vertex attached to {u}")
-    return _deletion_identity(g, (u, v) if (u, v) in g.arc_set else (v, u))
+    return _deletion_identity(g, (u, v) if out[u] >> v & 1 else (v, u))
 
 
 def quasi_compare(p: SkewCharPoly, q: SkewCharPoly) -> QuasiOrder:

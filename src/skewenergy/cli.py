@@ -297,12 +297,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GRAPH_ERROR
-    except (OSError, UnicodeDecodeError) as exc:
-        # --file is missing, a directory, unreadable or not text; a
-        # UnicodeDecodeError is a ValueError, so this clause comes first
+    except (GraphError, OSError, UnicodeDecodeError) as exc:
+        # a bad graph, or a --file that is missing, a directory, unreadable
+        # or not text; GraphError and UnicodeDecodeError are ValueErrors,
+        # so this clause comes first
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GRAPH_ERROR
     except ValueError as exc:

@@ -33,7 +33,7 @@ and psi(x) <= psi(1) x^(2K) for x >= 1, K the top nonzero index, gives
 
 where psi(1) = sum_i a_{2i} is an exact integer.  F is evaluated in
 one sweep over the grid of step 2^-3, where the default tolerance stops
-on most graphs, or over the finest grid that node_cap allows.  The
+on most graphs, or over the finest grid that _NODE_CAP allows.  The
 nodes lo + j*h are exact floats, so each coarser level's nodes are a
 strided slice of that sweep; past step 2^-3 each halving evaluates its
 new midpoints afresh.  Each level's new node values are summed with
@@ -87,6 +87,8 @@ _ROUNDING = 2.0**-49
 # at the default tol the rule stops there on most graphs and one level
 # earlier on the rest.
 _SWEEP_LEVELS = 3
+# skew_energy_integral never evaluates F at more nodes than this in all.
+_NODE_CAP = 2**20
 # Working digits of energy_from_even_coeffs_precise.
 _PRECISE_DPS = 60
 
@@ -181,20 +183,18 @@ def _truncation(coeffs: list[int], eps: float) -> tuple[int, int, float, float]:
     return lo, hi, (psi1 - 1) * math.exp(lo), right(hi)
 
 
-def skew_energy_integral(
-    p: SkewCharPoly, tol: float = 1e-9, node_cap: int = 2**20
-) -> IntegralEnergy:
+def skew_energy_integral(p: SkewCharPoly, tol: float = 1e-9) -> IntegralEnergy:
     """Trapezoidal rule for the coefficient-based energy integral in t = ln x.
 
     The step starts at 1 and halves, each halving adding only the new
     midpoints, until |T_h - T_2h| plus both tail bounds and a rounding
     allowance is at most tol, until the rounding allowance alone reaches
     tol and the last halving moved the value by no more than it, or
-    until the next halving would take the node count past node_cap.
+    until the next halving would take the node count past _NODE_CAP.
     The first _SWEEP_LEVELS halvings read F from one sweep, and F is
-    never evaluated at more than node_cap nodes in all.  Returns the
+    never evaluated at more than _NODE_CAP nodes in all.  Returns the
     estimate together with the node count, that error estimate, and
-    whether it reached tol.  If even the step-1 grid exceeds node_cap,
+    whether it reached tol.  If even the step-1 grid exceeds _NODE_CAP,
     no node is evaluated: the value is 0 and the error estimate
     infinite.  tol must be finite and
     at least 2^-48: est_error includes _ROUNDING * value, and every graph
@@ -207,18 +207,18 @@ def skew_energy_integral(
         return IntegralEnergy(value=0.0, nodes=0, est_error=0.0, tolerance_met=True)
     lo, hi, left, right = _truncation(coeffs, _TAIL_SHARE * tol)
     nodes = hi - lo + 1
-    if nodes > node_cap:
+    if nodes > _NODE_CAP:
         return IntegralEnergy(value=0.0, nodes=0, est_error=math.inf, tolerance_met=False)
 
     def f(t: np.ndarray) -> np.ndarray:
         x = np.exp(t)
         return x * log_psi_over_x2(coeffs, x)
 
-    # one sweep over the finest grid that fits node_cap, up to step
+    # one sweep over the finest grid that fits _NODE_CAP, up to step
     # 2^-_SWEEP_LEVELS; level k's new nodes are the odd multiples of
     # 2^(levels-k) among its indices
     levels = _SWEEP_LEVELS
-    while ((nodes - 1) << levels) + 1 > node_cap:
+    while ((nodes - 1) << levels) + 1 > _NODE_CAP:
         levels -= 1
     sweep = f(lo + 2.0**-levels * np.arange(((nodes - 1) << levels) + 1)).tolist()
     scale = 2.0 / math.pi
@@ -226,7 +226,7 @@ def skew_energy_integral(
     total = math.fsum(sweep[:: 1 << levels])
     value, est_error = scale * total, math.inf
     level = 0
-    while est_error > tol and 2 * nodes - 1 <= node_cap:
+    while est_error > tol and 2 * nodes - 1 <= _NODE_CAP:
         h /= 2
         level += 1
         if level <= levels:

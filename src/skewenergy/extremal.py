@@ -2,7 +2,8 @@
 
 Pipeline: enumerate the connected underlying graphs up to isomorphism,
 as one int64 array of canonical keys per (n, m), each class with its
-max degree, M(G,2) and q(G), carried from the class it grew from;
+M(G,2) and q(G), carried from the class it grew from (its max degree is
+that of canonical vertex 0, read off the key);
 census only the classes whose bound M(G,2) - 2q(G) on a_4 is at most
 the predicted construction's a_4, keeping the vectors whose a_4 is too;
 and compare those against it.  Every 4-cycle weighs +-2 in a_4 (Hou and
@@ -37,7 +38,7 @@ generation", J. Algorithms 26, 1998), which loses no class because
 deleting such an edge from any class leaves a connected (n, m-1) class.
 The filter runs in numpy over (parent, non-edge, edge) arrays.
 A child P + uv has q(P) + (A^3)_uv 4-cycles for P's adjacency A, one
-per walk u-a-b-v, and its degrees and M(G,2) follow from P's degrees.
+per walk u-a-b-v, and its M(G,2) follows from P's degrees.
 Completeness is checked at run time: over the classes, sum n!/|Aut| must
 equal the labelled connected count, or enumeration raises RuntimeError.
 Keys are decoded into graphs only for enumerate_connected_underlying's
@@ -194,8 +195,6 @@ def _class_graphs(keys: np.ndarray) -> list[UndirectedGraph]:
 def labelled_connected_count(n: int, m: int) -> int:
     """Labelled connected graphs with n vertices, m edges, by the
     component-of-vertex-1 recurrence."""
-    if n == 0:
-        return 1 if m == 0 else 0
     total = comb(comb(n, 2), m)
     for k in range(1, n):
         ways = comb(n - 1, k - 1)
@@ -244,16 +243,14 @@ def _edge_sides(adj: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _grown(stats: np.ndarray, edges: int, du, dv, walks) -> np.ndarray:
-    """(3, C) int32 stats of children P + uv, u !~ v, from their parents' stats.
+    """(2, C) int32 stats of children P + uv, u !~ v, from their parents' stats.
 
-    A class's stats are its max degree, M(G,2) and q(G).  uv raises the
-    degrees of u and v by one; it makes a 2-matching with each of P's
-    edges that misses both ends, edges - du - dv of them; and it closes
-    one 4-cycle per walk u-a-b-v, walks = (A^3)_uv for P's adjacency A.
+    A class's stats are M(G,2) and q(G).  uv makes a 2-matching with each
+    of P's edges that misses both ends, edges - du - dv of them, for the
+    degrees du and dv of u and v in P; and it closes one 4-cycle per walk
+    u-a-b-v, walks = (A^3)_uv for P's adjacency A.
     """
-    return np.stack(
-        (np.maximum(stats[0], np.maximum(du, dv) + 1), stats[1] + edges - du - dv, stats[2] + walks)
-    ).astype(np.int32)
+    return np.stack((stats[0] + edges - du - dv, stats[1] + walks)).astype(np.int32)
 
 
 def _pendant_children(trees: np.ndarray, stats: np.ndarray, n: int):
@@ -348,8 +345,10 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _connected_classes(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Connected classes with n vertices and m edges: a (K, n) int64
-    array of canonical keys, in increasing row order, and the (3, K)
-    int32 stats of the same classes, rows max degree, M(G,2) and q(G).
+    array of canonical keys, in increasing row order, and the (2, K)
+    int32 stats of the same classes, rows M(G,2) and q(G).  A class's max
+    degree is that of canonical vertex 0, since _canonical_batch places
+    vertices in non-increasing degree order.
 
     Trees (m = n-1) grow from the trees on n-1 vertices by a pendant
     vertex, since a tree less a leaf is a tree.  Every connected graph C
@@ -379,7 +378,7 @@ def _connected_classes(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if m < n - 1 or n == 1:
         count = int(m == n - 1)  # K_1, or no class
-        keys, stats = np.zeros((count, n), dtype=np.int64), np.zeros((3, count), dtype=np.int32)
+        keys, stats = np.zeros((count, n), dtype=np.int64), np.zeros((2, count), dtype=np.int32)
         return _frozen(keys), _frozen(stats)
     if m == n - 1:
         blocks = [_pendant_children(*_connected_classes(n - 1, m - 1), n)]
@@ -566,7 +565,7 @@ def verify_theorem_1(n: int, m: int, max_n: int = DEFAULT_MAX_N) -> MinimalityCe
     is the one _decide reads.
     """
     _check_window(n, m)
-    keys, (_, two_matchings, quads) = _classes(n, m, max_n)
+    keys, (two_matchings, quads) = _classes(n, m, max_n)
     predicted = predicted_family(n, m)
     o_vec = charpoly(construct_o_plus(n, m)).coeffs
     b_vec = charpoly(construct_b_plus(n, m)).coeffs
@@ -633,14 +632,17 @@ def _quadrangle_bound(n: int, m: int, max_n: int, dominating_only: bool) -> Boun
     """The bound over every class, or only those with a dominating vertex.
 
     A dominating vertex lowers the bound from C(m-n+2, 2) to C(m-n+1, 2).
-    The max degree and q(G) come from enumeration's stats
-    (_connected_classes); only the violators are decoded into graphs.
+    q(G) comes from enumeration's stats (_connected_classes).  A class
+    has a dominating vertex exactly when canonical vertex 0, of max
+    degree, is adjacent to every other: bit d-1 of key row d is set for
+    every d >= 1.  Only the violators are decoded into graphs.
     """
     _check_window(n, m)
     bound = comb(m - n + (1 if dominating_only else 2), 2)
-    keys, (max_degree, _, quads) = _classes(n, m, max_n)
+    keys, (_, quads) = _classes(n, m, max_n)
     if dominating_only:
-        keys, quads = keys[max_degree == n - 1], quads[max_degree == n - 1]
+        dominating = ((keys[:, 1:] >> np.arange(n - 1)) & 1).all(axis=1)
+        keys, quads = keys[dominating], quads[dominating]
     violations = tuple(ug.edges for ug in _class_graphs(keys[quads > bound]))
     return BoundReport(n, m, bound, len(keys), violations)
 

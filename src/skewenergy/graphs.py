@@ -12,8 +12,14 @@ every function here or in charpoly and subgraphs that takes a vertex
 (_vertex_count, _vertices, _pairs): the vertex count n and every index
 are integers by ``operator.index``, kept as Python ints (bools, floats
 and strings are refused); n >= 1 and every index v has 0 <= v < n; and
-a list of pairs holds no loop and no unordered pair twice.  A violation
-raises GraphError.
+a list of pairs holds exactly two indices in each entry, no loop and no
+unordered pair twice.  A violation raises GraphError.
+
+One rule decides what an arc argument is, for delete_arc,
+subgraphs.arc_on_even_cycle and charpoly.charpoly_delete_arc (_arc): a
+pair by the rule above, which the graph has; an absent arc raises
+ValueError "arc (u,v) is not present", naming the reversed arc when
+that one is.
 
 Text interchange format ("oriented edge list"): the first significant
 line is "n m", followed by exactly m lines "t h" giving the tail and
@@ -95,11 +101,16 @@ def _vertices(n: int, vs: Iterable) -> tuple[int, ...]:
 
 def _pairs(n: int, pairs: Iterable) -> tuple[tuple[int, int], ...]:
     """pairs as (u, v) tuples of indices (_vertices), in their given order,
-    with no loop and no unordered pair twice."""
+    each of exactly two entries, with no loop and no unordered pair twice."""
     out: list[tuple[int, int]] = []
     seen: set[int] = set()  # low * n + high for each unordered pair
     for pair in pairs:
-        u, v = _vertices(n, pair)
+        try:
+            u, v = _vertices(n, pair)
+        except GraphError:
+            raise
+        except (TypeError, ValueError):  # not iterable, or not two entries
+            raise GraphError(f"{pair!r} is not a pair") from None
         if u == v:
             raise GraphError(f"loop ({u},{v}) is not allowed")
         key = u * n + v if u < v else v * n + u
@@ -135,9 +146,6 @@ class OrientedGraph:
     @property
     def arc_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.arcs)
-
-    def underlying(self) -> "UndirectedGraph":
-        return underlying(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OrientedGraph):
@@ -382,15 +390,24 @@ def serialize_graph(g: OrientedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _arc(g: OrientedGraph, arc) -> tuple[int, int]:
+    """arc as (u, v) by the pair rule (_pairs), if g has it; ValueError if not."""
+    ((u, v),) = _pairs(g.n, (arc,))
+    arcs = g.arc_set
+    if (u, v) not in arcs:
+        hint = f" (the reversed arc ({v},{u}) is)" if (v, u) in arcs else ""
+        raise ValueError(f"arc ({u},{v}) is not present{hint}")
+    return u, v
+
+
+def _minus_arc(g: OrientedGraph, arc: tuple[int, int]) -> OrientedGraph:
+    """g without an arc it has (_arc), keeping all vertices and the arc order."""
+    return OrientedGraph(g.n, tuple(a for a in g.arcs if a != arc))
+
+
 def delete_arc(g: OrientedGraph, arc: tuple[int, int]) -> OrientedGraph:
     """Remove one arc, keeping all vertices and the remaining arc order."""
-    arc = _vertices(g.n, arc)
-    if arc not in g.arc_set:
-        hint = ""
-        if (arc[1], arc[0]) in g.arc_set:
-            hint = f" (the reversed arc ({arc[1]},{arc[0]}) is)"
-        raise ValueError(f"arc {arc} is not present{hint}")
-    return OrientedGraph(g.n, tuple(a for a in g.arcs if a != arc))
+    return _minus_arc(g, _arc(g, arc))
 
 
 def delete_vertices(g: OrientedGraph, dead: Iterable[int]) -> OrientedGraph:

@@ -20,7 +20,7 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .graphs import OrientedGraph, UndirectedGraph, _vertices
+from .graphs import OrientedGraph, UndirectedGraph, _arc, _vertices
 
 __all__ = [
     "CycleParity",
@@ -160,11 +160,14 @@ def arc_on_even_cycle(g: OrientedGraph, arc: tuple[int, int]) -> bool:
     of both parities, via two disjoint paths to an odd cycle.  An odd
     u-v path has 3 or more edges, so it closes an even cycle with uv,
     and from a bridge no walk reaches v.  Outside H, an odd cycle at a
-    cut vertex gives odd walks but no odd path.
+    cut vertex gives odd walks but no odd path.  The arc must be present
+    (graphs._arc).
     """
-    u, v = _vertices(g.n, arc)
-    if (u, v) not in g.arc_set:
-        raise ValueError(f"arc ({u},{v}) is not present")
+    return _on_even_cycle(g, *_arc(g, arc))
+
+
+def _on_even_cycle(g: OrientedGraph, u: int, v: int) -> bool:
+    """arc_on_even_cycle for an arc (u, v) that g has; unchecked."""
     n = g.n
     adj = _arc_masks(g)[0]
     adj[u] ^= 1 << v

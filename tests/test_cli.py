@@ -121,6 +121,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert "more than two numbers" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["charpoly", "--construct", "o-plus"], "--construct o-plus needs --n"),
+            (["compare", "o-plus:x", "b-plus:6:7"], "malformed construction spec 'o-plus:x'"),
+        ],
+        ids=["no-n", "malformed-spec"],
+    )
+    def test_incomplete_construction_is_4(self, argv, message, capsys):
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["charpoly", "--bogus"])

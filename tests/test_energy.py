@@ -86,7 +86,7 @@ class TestIntegral:
     def test_stops_once_rounding_alone_exceeds_tol(self):
         # E = 2 sqrt(11) puts the rounding allowance at 1.18e-14 > tol: the
         # rule stops as soon as a halving moves the value by no more than
-        # it, where halving on to node_cap (827,393 nodes) changes neither
+        # it, where halving on to the node cap (827,393 nodes) changes neither
         # the value nor the error estimate
         res = skew_energy_integral(charpoly(construct_o_plus(6, 7)), tol=1e-14)
         assert not res.tolerance_met
@@ -94,8 +94,9 @@ class TestIntegral:
         assert res.value == pytest.approx(2 * math.sqrt(11), rel=1e-15)
         assert res.est_error == pytest.approx(1.1783025495855851e-14, rel=1e-9)
 
-    def test_node_cap_reported(self):
-        res = skew_energy_integral(SkewCharPoly(4, (1, 4, 4)), tol=1e-12, node_cap=200)
+    def test_node_cap_reported(self, monkeypatch):
+        monkeypatch.setattr(energy, "_NODE_CAP", 200)
+        res = skew_energy_integral(SkewCharPoly(4, (1, 4, 4)), tol=1e-12)
         assert not res.tolerance_met
         assert res.nodes <= 200 + 44  # one refinement round may finish
 
@@ -154,9 +155,10 @@ class TestIntegral:
 
     @pytest.mark.parametrize("coeffs", [(1, 4, 4), (1, 7, 4, 0)])
     @pytest.mark.parametrize("node_cap", [50, 200, 1000])
-    def test_node_cap_is_never_exceeded(self, coeffs, node_cap):
+    def test_node_cap_is_never_exceeded(self, monkeypatch, coeffs, node_cap):
+        monkeypatch.setattr(energy, "_NODE_CAP", node_cap)
         p = SkewCharPoly(2 * (len(coeffs) - 1), coeffs)
-        res = skew_energy_integral(p, tol=1e-14, node_cap=node_cap)
+        res = skew_energy_integral(p, tol=1e-14)
         assert res.nodes <= node_cap
         assert res.tolerance_met == (res.est_error <= 1e-14)
 
@@ -216,9 +218,10 @@ class TestSweep:
 
     @pytest.mark.parametrize("node_cap", SWEEP_CAPS)
     @pytest.mark.parametrize("tol", SWEEP_TOLS)
-    def test_equals_halving_field_for_field(self, tol, node_cap):
+    def test_equals_halving_field_for_field(self, monkeypatch, tol, node_cap):
+        monkeypatch.setattr(energy, "_NODE_CAP", node_cap)
         for p in _seeded_polys():
-            assert skew_energy_integral(p, tol, node_cap) == trapezoid_by_halving(
+            assert skew_energy_integral(p, tol) == trapezoid_by_halving(
                 p, tol, node_cap
             ), p
 
@@ -237,8 +240,9 @@ class TestSweep:
         for p in _seeded_polys():
             for tol in SWEEP_TOLS:
                 for node_cap in SWEEP_CAPS:
+                    monkeypatch.setattr(energy, "_NODE_CAP", node_cap)
                     sizes.clear()
-                    res = skew_energy_integral(p, tol, node_cap)
+                    res = skew_energy_integral(p, tol)
                     assert sum(sizes) <= node_cap
                     if res.nodes == 0:
                         assert sizes == []

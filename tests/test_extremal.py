@@ -206,7 +206,7 @@ class TestClassEnumeration:
     def test_cached_keys_are_read_only(self):
         keys, stats = _connected_classes(6, 7)
         assert keys.dtype == np.int64 and keys.shape == (19, 6)
-        assert stats.dtype == np.int32 and stats.shape == (3, 19)
+        assert stats.dtype == np.int32 and stats.shape == (2, 19)
         for array in (keys, stats):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -559,7 +559,7 @@ class TestWalshCensus:
         tight = 0
         for n in range(4, 8):  # a_4 needs four vertices
             for m in range(n - 1, comb(n, 2) + 1):
-                keys, (_, two, quads) = _connected_classes(n, m)
+                keys, (two, quads) = _connected_classes(n, m)
                 for ug, low in zip(_class_graphs(keys), (two - 2 * quads).tolist()):
                     least = min(vec[2] for vec in orientation_coefficient_census(ug))
                     assert least >= low, (n, m, ug.edges)
@@ -664,15 +664,15 @@ class TestQuadrangleBounds:
         assert report.bound == comb(m - n + 1, 2)
 
     def test_class_counts_match_single_graph_counts(self):
-        # max degree, M(G,2) and q(G) as enumeration carries them from each
-        # class's parent, against the single-graph routes for n <= 8 and
-        # the subset scans for n <= 6
+        # M(G,2) and q(G) as enumeration carries them from each class's
+        # parent, against the single-graph routes for n <= 8 and the subset
+        # scans for n <= 6; canonical vertex 0 has the max degree
         for n in range(1, 9):
             for m in range(n - 1, comb(n, 2) + 1):
                 keys, stats = _connected_classes(n, m)
-                assert stats.shape == (3, len(keys)), (n, m)
-                for ug, (top, two, quads) in zip(_class_graphs(keys), stats.T.tolist()):
-                    assert top == ug.max_degree()
+                assert stats.shape == (2, len(keys)), (n, m)
+                for ug, (two, quads) in zip(_class_graphs(keys), stats.T.tolist()):
+                    assert ug.degrees()[0] == ug.max_degree()
                     assert two == _two_matching_count(ug.m, ug.degrees())
                     assert quads == count_quadrangles(ug)
                     if n <= 6:

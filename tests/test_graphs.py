@@ -8,6 +8,7 @@ import pytest
 from skewenergy.charpoly import charpoly_delete_arc, pendant_coefficients
 from skewenergy.graphs import (
     GraphError,
+    OrientedGraph,
     ParseError,
     UndirectedGraph,
     build,
@@ -115,11 +116,91 @@ class TestVertexRule:
         with pytest.raises(GraphError, match="is not an integer"):
             call()
 
+    @pytest.mark.parametrize(
+        "make,prefix",
+        [(build, ""), (UndirectedGraph, ""), (_parsed, "line 1: ")],
+        ids=["build", "UndirectedGraph", "parse_graph"],
+    )
+    def test_vertex_count_rejected(self, make, prefix):
+        with pytest.raises(GraphError) as exc:
+            make(0, [])
+        assert str(exc.value) == prefix + "vertex count must be a positive integer, got 0"
+
     def test_numpy_integers_become_python_ints(self):
         g = build(np.int64(3), [(np.int64(0), np.int64(2))])
         assert g == build(3, [(0, 2)])
         assert type(g.n) is int
         assert all(type(v) is int for arc in g.arcs for v in arc)
+
+
+class TestArcRule:
+    """One rule for what an arc is: the pair rule of both graph types, and
+    for a function that takes an arc, one presence test with one message."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda pair: build(3, [(0, 1), pair]),
+            lambda pair: OrientedGraph(3, ((0, 1), pair)),
+            lambda pair: UndirectedGraph(3, [(0, 1), pair]),
+            lambda pair: delete_arc(oriented_cycle(4, "odd"), pair),
+            lambda pair: arc_on_even_cycle(oriented_cycle(4, "odd"), pair),
+            lambda pair: charpoly_delete_arc(oriented_cycle(4, "odd"), pair),
+        ],
+        ids=[
+            "build", "OrientedGraph", "UndirectedGraph",
+            "delete_arc", "arc_on_even_cycle", "charpoly_delete_arc",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "pair,message",
+        [
+            ((0, 1, 2), "(0, 1, 2) is not a pair"),
+            ((2,), "(2,) is not a pair"),
+            ([], "[] is not a pair"),
+            (5, "5 is not a pair"),
+            ((2, 2), "loop (2,2) is not allowed"),
+        ],
+        ids=["three", "one", "empty", "int", "loop"],
+    )
+    def test_not_a_pair(self, make, pair, message):
+        with pytest.raises(GraphError) as exc:
+            make(pair)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "call", [delete_arc, arc_on_even_cycle, charpoly_delete_arc],
+        ids=["delete_arc", "arc_on_even_cycle", "charpoly_delete_arc"],
+    )
+    @pytest.mark.parametrize(
+        "arc,message",
+        [
+            ((1, 0), "arc (1,0) is not present (the reversed arc (0,1) is)"),
+            ((0, 2), "arc (0,2) is not present"),
+            ((np.int64(3), np.int64(0)), "arc (3,0) is not present (the reversed arc (0,3) is)"),
+        ],
+        ids=["reversed", "absent", "numpy"],
+    )
+    def test_absent_arc_shared_message(self, call, arc, message):
+        with pytest.raises(ValueError) as exc:
+            call(oriented_cycle(4, "odd"), arc)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == message
+
+    def test_charpoly_delete_arc_tests_presence_once(self, monkeypatch):
+        reads = []
+        arc_set = OrientedGraph.arc_set
+
+        def counted(g):
+            reads.append(g)
+            return arc_set.fget(g)
+
+        monkeypatch.setattr(OrientedGraph, "arc_set", property(counted))
+        g = oriented_path(4)
+        assert charpoly_delete_arc(g, [1, 2]).coeffs == (1, 3, 1)
+        assert reads == [g]
+        assert delete_arc(g, (1, 2)) == build(4, [(0, 1), (2, 3)])
+        assert reads == [g, g]
 
 
 class TestSkewAdjacency:
@@ -215,6 +296,20 @@ class TestConstructions:
         with pytest.raises(ValueError):
             oriented_cycle(5, "odd")
 
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: oriented_star(0), "star needs n >= 1, got 0"),
+            (lambda: oriented_path(0), "path needs n >= 1, got 0"),
+            (lambda: oriented_cycle(4, "diagonal"), "parity must be 'odd' or 'even', got 'diagonal'"),
+        ],
+        ids=["star", "path", "cycle"],
+    )
+    def test_construction_arguments_rejected(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
 
 class TestTextFormat:
     def test_parse_k2(self):
@@ -237,6 +332,19 @@ class TestTextFormat:
             parse_graph("3 2\n0 1\n")
         with pytest.raises(ParseError, match="more than the declared"):
             parse_graph("3 1\n0 1\n1 2\n")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("3 -1\n", "line 1: arc count must be nonnegative, got -1"),
+            ("3 1\n0 1 2\n", "line 2: expected two whitespace-separated integers, got '0 1 2'"),
+        ],
+        ids=["negative-count", "three-tokens"],
+    )
+    def test_malformed_line_positioned(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_graph(text)
+        assert str(exc.value) == message
 
     def test_bad_tokens(self):
         with pytest.raises(ParseError, match="line 1"):
