@@ -1,9 +1,9 @@
 """Exhaustive desk-scale search for minimum-skew-energy oriented graphs.
 
 Pipeline: enumerate the connected underlying graphs up to isomorphism,
-as one int64 array of canonical keys per (n, m), each class with its
-M(G,2) and q(G), carried from the class it grew from (its max degree is
-that of canonical vertex 0, read off the key);
+as one uint8 array of packed canonical keys per (n, m), each class with
+its M(G,2) and q(G), carried from the class it grew from (its max degree
+is that of canonical vertex 0, read off the key);
 census only the classes whose bound M(G,2) - 2q(G) on a_4 is at most
 the predicted construction's a_4, keeping the vectors whose a_4 is too;
 and compare those against it.  Every 4-cycle weighs +-2 in a_4 (Hou and
@@ -25,7 +25,12 @@ search (_canonical_batch) runs it over a stack of graphs at once, and
 places only the lowest unplaced vertex of each twin class (equal open or
 equal closed neighbourhoods), since swapping twins is an automorphism.
 Its final frontier has one order per coset of the twin swaps in
-Aut(G), so |Aut(G)| = frontier size x prod |twin class|!.
+Aut(G), so |Aut(G)| = frontier size x prod |twin class|!.  A class key
+is the canonically labeled graph's lower triangle, the bits of edges
+(1,0), (2,0), (2,1), (3,0), ... in np.tril_indices(n, -1) order, packed
+by np.packbits into ceil(C(n,2)/8) bytes.  Those bits are the minimized
+rows 1, 2, ..., n-1 of the bit-string, each MSB first, so byte order
+between keys is the order of the canonical bit-strings.
 
 Class enumeration is one memoized recursion over key arrays.  Trees
 grow from the trees on one vertex fewer by a pendant vertex.  Every
@@ -93,11 +98,15 @@ def _canonical_batch(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bit-string order.
 
     adj is a (B, n) int64 array, row b holding graph b's adjacency masks;
-    the masks must fit an int64, so n <= 62.  Returns the (B, n) int64
-    keys and the (B,) exact |Aut| (object dtype, Python ints).  Row d of
-    a key has bit d-1-i set exactly when the vertices placed at i and d
-    are adjacent, so the key is the canonically labeled graph itself
-    (_cube, _class_graphs).
+    the masks must fit an int64, so n <= 62.  Returns the (B,
+    ceil(C(n,2)/8)) uint8 keys and the (B,) exact |Aut| (object dtype,
+    Python ints).  The search builds row d of a key as an int64 with bit
+    d-1-i set exactly when the vertices placed at i and d are adjacent;
+    the rows' bits, MSB first, are the lower triangle in
+    np.tril_indices(n, -1) order, which is packed once at return.  So
+    the key is the canonically labeled graph itself (_cube,
+    _class_graphs), and byte order between keys is tuple order between
+    their rows.
 
     Works breadth-first over partial vertex orders of every graph at
     once: at each depth keep every placement, of a vertex of the next
@@ -153,19 +162,20 @@ def _canonical_batch(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         starts = np.flatnonzero(np.diff(owner, prepend=-1))
         used = used[e] | bit[v]
         rows = rows[e] | ((adj[owner, v, None] >> verts) & 1) << (n - 1 - d)
-    return keys, np.bincount(owner, minlength=count).astype(object) * twin_swaps
+    low, high = np.tril_indices(n, -1)
+    auts = np.bincount(owner, minlength=count).astype(object) * twin_swaps
+    return np.packbits((keys[:, low] >> (low - 1 - high)) & 1, axis=1), auts
 
 
-def _cube(keys: np.ndarray) -> np.ndarray:
-    """(K, n, n) boolean adjacency of the graphs a (K, n) key array describes.
-
-    Bit d-1-i of row d of a key is the edge (i, d), as _canonical_batch
-    writes it.
+def _cube(keys: np.ndarray, n: int) -> np.ndarray:
+    """(K, n, n) boolean adjacency of the n-vertex graphs a packed key
+    array describes: its bits are the lower triangle in
+    np.tril_indices(n, -1) order, as _canonical_batch packs them.
     """
-    verts = np.arange(keys.shape[1], dtype=np.int64)
-    shift = verts[:, None] - 1 - verts  # [d, i] = d-1-i, negative where i >= d
-    lower = ((keys[:, :, None] >> np.maximum(shift, 0)) & 1).astype(bool) & (shift >= 0)
-    return lower | lower.transpose(0, 2, 1)
+    low, high = np.tril_indices(n, -1)
+    cube = np.zeros((len(keys), n, n), dtype=bool)
+    cube[:, low, high] = np.unpackbits(keys, axis=1, count=len(low))
+    return cube | cube.transpose(0, 2, 1)
 
 
 def _masks(cube: np.ndarray) -> np.ndarray:
@@ -179,14 +189,14 @@ def _common(cube: np.ndarray) -> np.ndarray:
     return a @ a
 
 
-def _class_graphs(keys: np.ndarray) -> list[UndirectedGraph]:
-    """The canonically labeled graphs a (K, n) key array describes."""
-    n = keys.shape[1]
-    iu, ju = np.triu_indices(n, 1)
-    pairs = list(zip(iu.tolist(), ju.tolist()))
+def _class_graphs(keys: np.ndarray, n: int) -> list[UndirectedGraph]:
+    """The canonically labeled n-vertex graphs a packed key array describes."""
+    low, high = np.tril_indices(n, -1)
+    pairs = list(zip(high.tolist(), low.tolist()))
     graphs = []
     for start in range(0, len(keys), _CUBE_CHUNK):
-        for row in _cube(keys[start:start + _CUBE_CHUNK])[:, iu, ju].tolist():
+        bits = np.unpackbits(keys[start:start + _CUBE_CHUNK], axis=1, count=len(pairs))
+        for row in bits.tolist():
             graphs.append(UndirectedGraph(n, tuple(compress(pairs, row))))
     return graphs
 
@@ -257,7 +267,7 @@ def _pendant_children(trees: np.ndarray, stats: np.ndarray, n: int):
     """Adjacency masks and stats of every tree on n-1 vertices plus a leaf
     n-1 at each vertex."""
     bit = np.int64(1) << np.arange(n, dtype=np.int64)
-    cube = _cube(trees)
+    cube = _cube(trees, n - 1)
     adj = np.zeros((len(trees), n), dtype=np.int64)
     adj[:, :-1] = _masks(cube)
     children = np.repeat(adj[:, None, :], n - 1, axis=1)
@@ -300,7 +310,7 @@ def _deletion_filter(parents: np.ndarray, stats: np.ndarray, n: int):
         return (np.maximum(dx, dy) << width | np.minimum(dx, dy)) << width | common
 
     for start in range(0, len(parents), _CUBE_CHUNK):
-        cube = _cube(parents[start:start + _CUBE_CHUNK])
+        cube = _cube(parents[start:start + _CUBE_CHUNK], n)
         count = len(cube)
         rows = np.arange(count)[:, None]
         adj = _masks(cube)
@@ -342,13 +352,14 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _connected_classes(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Connected classes with n vertices and m edges: a (K, n) int64
-    array of canonical keys, in increasing row order, and the (2, K)
-    int32 stats of the same classes, rows M(G,2) and q(G).  A class's max
-    degree is that of canonical vertex 0, since _canonical_batch places
-    vertices in non-increasing degree order.
+    """Connected classes with n vertices and m edges: a (K,
+    ceil(C(n,2)/8)) uint8 array of packed canonical keys (_canonical_batch),
+    in increasing byte order, and the (2, K) int32 stats of the same
+    classes, rows M(G,2) and q(G).  A class's max degree is that of
+    canonical vertex 0, since _canonical_batch places vertices in
+    non-increasing degree order.
 
     Trees (m = n-1) grow from the trees on n-1 vertices by a pendant
     vertex, since a tree less a leaf is a tree.  Every connected graph C
@@ -365,21 +376,23 @@ def _connected_classes(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     built.
 
     Children that pass are canonicalized _CANON_CHUNK at a time by
-    _canonical_batch, and deduplicated by sorting the key rows, which
-    orders them as their tuples would, every key being nonnegative.  So
+    _canonical_batch, and deduplicated by sorting the keys' bytes, which
+    orders the classes as the tuples of their canonical rows would.  So
     the output does not depend on which child reached a class first.
     Every child is born with its stats, derived from its parent's
     (_grown); isomorphic children have equal stats, so each class keeps
     those of its first sorted row.  Before returning, the classes' |Aut|
     values must satisfy sum n!/|Aut| = labelled connected count.  Both
     cached arrays are read-only, since every caller shares them; parents
-    become adjacency masks by bit operations on their keys (_cube,
-    _masks).
+    become adjacency masks by unpacking their keys (_cube, _masks).
+    Only the last level built is cached: every caller asks for levels in
+    increasing m, so each level finds the one it grows from, and older
+    levels are freed.
     """
     if m < n - 1 or n == 1:
         count = int(m == n - 1)  # K_1, or no class
-        keys, stats = np.zeros((count, n), dtype=np.int64), np.zeros((2, count), dtype=np.int32)
-        return _frozen(keys), _frozen(stats)
+        keys = np.zeros((count, (comb(n, 2) + 7) // 8), dtype=np.uint8)
+        return _frozen(keys), _frozen(np.zeros((2, count), dtype=np.int32))
     if m == n - 1:
         blocks = [_pendant_children(*_connected_classes(n - 1, m - 1), n)]
     else:
@@ -393,8 +406,7 @@ def _connected_classes(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
             auts.append(batch_auts)
     keys, auts, stats = np.concatenate(keys), np.concatenate(auts), np.concatenate(stats, axis=1)
     order = np.lexsort(keys.T[::-1])
-    for column in keys.T:  # sorted in place, so only one column is ever copied
-        column[:] = column[order]
+    keys = keys[order]
     first = np.ones(len(keys), dtype=bool)
     first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
     kept = order[first]
@@ -422,7 +434,7 @@ def enumerate_connected_underlying(
     """All connected simple graphs with n vertices and m edges, one per class,
     canonically labeled, in the order of their keys; each call decodes them
     afresh from the cached keys."""
-    return _class_graphs(_classes(n, m, max_n)[0])
+    return _class_graphs(_classes(n, m, max_n)[0], n)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +599,7 @@ def verify_theorem_1(n: int, m: int, max_n: int = DEFAULT_MAX_N) -> MinimalityCe
     bound = two_matchings - 2 * quads
     near = bound <= target[2]
     census: Counter = Counter()
-    for ug, low in zip(_class_graphs(keys[near]), bound[near].tolist()):
+    for ug, low in zip(_class_graphs(keys[near], n), bound[near].tolist()):
         vectors = orientation_coefficient_census(ug)
         if min(vec[2] for vec in vectors) < low:
             raise RuntimeError(
@@ -634,16 +646,18 @@ def _quadrangle_bound(n: int, m: int, max_n: int, dominating_only: bool) -> Boun
     A dominating vertex lowers the bound from C(m-n+2, 2) to C(m-n+1, 2).
     q(G) comes from enumeration's stats (_connected_classes).  A class
     has a dominating vertex exactly when canonical vertex 0, of max
-    degree, is adjacent to every other: bit d-1 of key row d is set for
-    every d >= 1.  Only the violators are decoded into graphs.
+    degree, is adjacent to every other: the key's bit of edge (0, d), at
+    position C(d, 2) of the lower triangle, is set for every d >= 1.
+    Only the violators are decoded into graphs.
     """
     _check_window(n, m)
     bound = comb(m - n + (1 if dominating_only else 2), 2)
     keys, (_, quads) = _classes(n, m, max_n)
     if dominating_only:
-        dominating = ((keys[:, 1:] >> np.arange(n - 1)) & 1).all(axis=1)
+        at = np.array([comb(d, 2) for d in range(1, n)])
+        dominating = ((keys[:, at // 8] >> (7 - at % 8)) & 1).all(axis=1)
         keys, quads = keys[dominating], quads[dominating]
-    violations = tuple(ug.edges for ug in _class_graphs(keys[quads > bound]))
+    violations = tuple(ug.edges for ug in _class_graphs(keys[quads > bound], n))
     return BoundReport(n, m, bound, len(keys), violations)
 
 

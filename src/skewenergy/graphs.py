@@ -5,7 +5,9 @@ direction for each edge.  Vertices are the integers 0..n-1 throughout;
 the hub and apex vertices of the built-in extremal constructions sit at
 indices 0 and 1.  All types here are immutable, so one instance can be
 shared by every caller.  (The class enumeration caches no graphs: it
-keeps each (n, m)'s classes as an int64 array of canonical keys.)
+keeps the (n, m) classes it last built as a uint8 array of canonical
+keys, each the canonically labeled graph's lower triangle packed into
+bytes.)
 
 One rule decides what a vertex is, for both graph types, the parser and
 every function here or in charpoly and subgraphs that takes a vertex
@@ -193,23 +195,12 @@ class UndirectedGraph:
     def max_degree(self) -> int:
         return max(self.degrees())
 
-    def adjacency_sets(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
     def adjacency_masks(self) -> list[int]:
         adj = [0] * self.n
         for u, v in self.edges:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return adj
-
-    def has_edge(self, u: int, v: int) -> bool:
-        pair = (u, v) if u < v else (v, u)
-        return pair in self.edges
 
     def is_connected(self) -> bool:
         return len(_spanning_forest(self.n, self.edges)[0]) == self.n - 1

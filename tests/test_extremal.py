@@ -25,6 +25,7 @@ from skewenergy.extremal import (
     _check_complete,
     _class_graphs,
     _connected_classes,
+    _cube,
     _decide,
     _edge_sides,
     crossover_table,
@@ -56,6 +57,7 @@ from _oracles import (
     census_certificate,
     deletion_filter_survivors,
     enumerate_orientations,
+    key_edges,
     nx_automorphism_count,
     nx_connected_class_count,
     nx_graph,
@@ -65,12 +67,24 @@ THEOREM_PAIRS = [(5, 5), (6, 6), (6, 7), (7, 7), (7, 8), (7, 9)]
 WINDOWS_TO_8 = [(n, m) for n in range(5, 9) for m in range(n, 2 * (n - 2))]
 
 
+def _rows(key, n):
+    """A packed n-vertex key as canonical_scalar's rows: its bits, MSB
+    first, run through rows 1, 2, ..., n-1, and row d holds d bits."""
+    bits, rest = int.from_bytes(key.tobytes(), "big"), 8 * len(key)
+    rows = []
+    for d in range(n):
+        rest -= d
+        rows.append(bits >> rest & ((1 << d) - 1))
+    return tuple(rows)
+
+
 def _batch(graphs):
-    """_canonical_batch of graphs on one n, as (key, |Aut|) pairs."""
+    """_canonical_batch of graphs on one n, as (rows, |Aut|) pairs, each
+    key decoded by _rows."""
     keys, auts = _canonical_batch(
         np.array([g.adjacency_masks() for g in graphs], dtype=np.int64)
     )
-    return list(zip(map(tuple, keys.tolist()), auts.tolist()))
+    return [(_rows(key, graphs[0].n), aut) for key, aut in zip(keys, auts.tolist())]
 
 
 def _relabeled(ug, rng):
@@ -115,6 +129,14 @@ SYMMETRIC = [  # (name, graph, |Aut|); 21! and 62! pass int64, and stay exact
     ("C12", _cycle(12), 24),
     ("petersen", _petersen(), 120),  # vertex-transitive, no twins
 ]
+# the canonical rows of the SYMMETRIC graphs whose |Aut| is too large for
+# canonical_scalar: row d has bit d-1-i for each edge (i, d)
+WIDE_ROWS = {
+    "star62": (0,) + tuple(1 << (d - 1) for d in range(1, 62)),  # the hub at 0
+    "K2,9": (0, 0) + tuple(3 << (d - 2) for d in range(2, 11)),  # the hubs at 0 and 1
+    "K21": tuple((1 << d) - 1 for d in range(21)),
+    "K62": tuple((1 << d) - 1 for d in range(62)),
+}
 
 
 class TestCanonical:
@@ -126,12 +148,12 @@ class TestCanonical:
         for n in range(1, 8):
             for m in range(n - 1, comb(n, 2) + 1):
                 keys, _ = _connected_classes(n, m)
-                classes = _class_graphs(keys)
+                classes = _class_graphs(keys, n)
                 shuffled = [_relabeled(ug, rng) for ug in classes]
                 got = _batch(classes + shuffled)
-                for want, g, (key, aut), again in zip(keys.tolist(), shuffled, got, got[len(classes):]):
+                for want, g, (key, aut), again in zip(keys, shuffled, got, got[len(classes):]):
                     assert again == (key, aut) == canonical_scalar(g.adjacency_masks())
-                    assert key == tuple(want)
+                    assert key == _rows(want, n)
 
     def test_relabeling_gives_same_key(self):
         # random graphs with n <= 10 and a random relabelling of each get
@@ -155,9 +177,48 @@ class TestCanonical:
         rng = random.Random(5004)
         (key, got), (key2, got2) = _batch([ug, _relabeled(ug, rng)])
         assert got == got2 == aut and key == key2
-        assert _batch(_class_graphs(np.array([key], dtype=np.int64))) == [(key, aut)]
+        keys, _ = _canonical_batch(np.array([ug.adjacency_masks()], dtype=np.int64))
+        assert _batch(_class_graphs(keys, ug.n)) == [(key, aut)]
         if aut <= 5040:
             assert (key, got) == canonical_scalar(ug.adjacency_masks())
+
+    def test_keys_pack_the_scalar_rows_in_byte_order(self):
+        # a key is the lower triangle of the graph canonical_scalar's rows
+        # describe, and byte order between keys is tuple order between
+        # their rows: every class with n <= 8, random graphs with
+        # n <= 15 and the symmetric set, whose widest keys are too
+        # symmetric for the scalar search and take their rows from
+        # WIDE_ROWS
+        rng = random.Random(5005)
+        cases = {}  # n -> [(key bytes, rows)]
+
+        def check(n, keys, rows):
+            for adj, want in zip(_cube(keys, n), rows):
+                edges = np.array(key_edges(want), dtype=np.intp).reshape(-1, 2).T
+                graph = np.zeros((n, n), dtype=bool)
+                graph[edges[0], edges[1]] = graph[edges[1], edges[0]] = True
+                assert np.array_equal(adj, graph), (n, want)
+            cases.setdefault(n, []).extend(zip((key.tobytes() for key in keys), rows))
+
+        for n in range(1, 9):
+            for m in range(n - 1, comb(n, 2) + 1):
+                keys, _ = _connected_classes(n, m)
+                graphs = [_relabeled(g, rng) for g in _class_graphs(keys, n)]
+                check(n, keys, [canonical_scalar(g.adjacency_masks())[0] for g in graphs])
+        for n in range(2, 16):
+            pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            sizes = [rng.randint(len(pool) // 4, 3 * len(pool) // 4 + 1) for _ in range(20)]
+            graphs = [UndirectedGraph(n, tuple(rng.sample(pool, size))) for size in sizes]
+            masks = np.array([g.adjacency_masks() for g in graphs], dtype=np.int64)
+            check(n, _canonical_batch(masks)[0], [canonical_scalar(g.adjacency_masks())[0] for g in graphs])
+        for name, ug, aut in SYMMETRIC:
+            keys, _ = _canonical_batch(np.array([ug.adjacency_masks()], dtype=np.int64))
+            rows = WIDE_ROWS[name] if aut > 5040 else canonical_scalar(ug.adjacency_masks())[0]
+            check(ug.n, keys, [rows])
+        for n, pairs in cases.items():
+            pairs.sort(key=lambda pair: pair[1])
+            for (key, rows), (key2, rows2) in zip(pairs, pairs[1:]):
+                assert key <= key2 and (key == key2) == (rows == rows2), (n, rows, rows2)
 
     def test_more_than_62_vertices_is_refused(self):
         with pytest.raises(ValueError, match="n <= 62"):
@@ -201,11 +262,11 @@ class TestClassEnumeration:
         first = enumerate_connected_underlying(6, 7)
         second = enumerate_connected_underlying(6, 7)
         assert first is not second and first == second
-        assert [g.edges for g in first] == [g.edges for g in _class_graphs(_connected_classes(6, 7)[0])]
+        assert [g.edges for g in first] == [g.edges for g in _class_graphs(_connected_classes(6, 7)[0], 6)]
 
     def test_cached_keys_are_read_only(self):
         keys, stats = _connected_classes(6, 7)
-        assert keys.dtype == np.int64 and keys.shape == (19, 6)
+        assert keys.dtype == np.uint8 and keys.shape == (19, 2)
         assert stats.dtype == np.int32 and stats.shape == (2, 19)
         for array in (keys, stats):
             assert not array.flags.writeable
@@ -245,7 +306,7 @@ class TestClassEnumeration:
     @pytest.mark.parametrize("n,top", [(n, comb(n, 2)) for n in range(1, 8)] + [(8, 11), (9, 10)])
     def test_filter_matches_unfiltered_augmentation(self, n, top):
         for m in range(n - 1, top + 1):
-            ours = tuple(g.edges for g in _class_graphs(_connected_classes(n, m)[0]))
+            ours = tuple(g.edges for g in _class_graphs(_connected_classes(n, m)[0], n))
             assert ours == augment_every_non_edge(n, m), (n, m)
 
     def test_edge_sides_match_networkx_bridges(self):
@@ -560,7 +621,7 @@ class TestWalshCensus:
         for n in range(4, 8):  # a_4 needs four vertices
             for m in range(n - 1, comb(n, 2) + 1):
                 keys, (two, quads) = _connected_classes(n, m)
-                for ug, low in zip(_class_graphs(keys), (two - 2 * quads).tolist()):
+                for ug, low in zip(_class_graphs(keys, n), (two - 2 * quads).tolist()):
                     least = min(vec[2] for vec in orientation_coefficient_census(ug))
                     assert least >= low, (n, m, ug.edges)
                     tight += least == low
@@ -662,6 +723,8 @@ class TestQuadrangleBounds:
         report = verify_quadrangle_bound_max_degree(n, m)
         assert report.passed
         assert report.bound == comb(m - n + 1, 2)
+        classes = enumerate_connected_underlying(n, m)
+        assert report.witnesses_checked == sum(ug.max_degree() == n - 1 for ug in classes)
 
     def test_class_counts_match_single_graph_counts(self):
         # M(G,2) and q(G) as enumeration carries them from each class's
@@ -671,7 +734,7 @@ class TestQuadrangleBounds:
             for m in range(n - 1, comb(n, 2) + 1):
                 keys, stats = _connected_classes(n, m)
                 assert stats.shape == (2, len(keys)), (n, m)
-                for ug, (two, quads) in zip(_class_graphs(keys), stats.T.tolist()):
+                for ug, (two, quads) in zip(_class_graphs(keys, n), stats.T.tolist()):
                     assert ug.degrees()[0] == ug.max_degree()
                     assert two == _two_matching_count(ug.m, ug.degrees())
                     assert quads == count_quadrangles(ug)

@@ -445,7 +445,8 @@ class TestA4Bound:
 
 def test_quadrangle_sequences_are_cycles():
     ug = underlying(fig_f_graph())
+    adj = ug.adjacency_masks()
     for seq in quadrangles(ug):
         assert len(set(seq)) == 4
         for i in range(4):
-            assert ug.has_edge(seq[i], seq[(i + 1) % 4])
+            assert adj[seq[i]] >> seq[(i + 1) % 4] & 1
