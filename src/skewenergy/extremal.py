@@ -44,6 +44,17 @@ deleting such an edge from any class leaves a connected (n, m-1) class.
 The filter runs in numpy over (parent, non-edge, edge) arrays.
 A child P + uv has q(P) + (A^3)_uv 4-cycles for P's adjacency A, one
 per walk u-a-b-v, and its M(G,2) follows from P's degrees.
+Each level's parents are cut into spans of _SPAN, and one function
+grows a span: it filters, then canonicalizes the span's children
+_CANON_CHUNK at a time.  Children of different parents meet only at the
+level's dedupe, so a level whose parents give each CPU this process may
+use (os.sched_getaffinity, else os.cpu_count) two spans or more is
+grown by workers made by os.fork, each taking every cores-th span and
+this process the rest.  The spans' children are put back in span order
+before the level's sort, so keys, stats and class order do not depend on
+the number of cores.  A worker that fails makes enumeration raise
+RuntimeError; a fork or pipe that the system refuses leaves that share
+to this process; no worker outlives the call.
 Completeness is checked at run time: over the classes, sum n!/|Aut| must
 equal the labelled connected count, or enumeration raises RuntimeError.
 Keys are decoded into graphs only for enumerate_connected_underlying's
@@ -53,6 +64,10 @@ Exhaustive by construction, hence the default cap at n = 9 (DEFAULT_MAX_N).
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import traceback
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -87,6 +102,7 @@ _ORIENTATION_GUARD = 30  # a census stands for 2^m orientations
 _CENSUS_CHUNK = 4096
 _CANON_CHUNK = 1024  # children per _canonical_batch call; larger ones raise peak RSS
 _CUBE_CHUNK = 128  # parents per filter step, or classes per decode; bounds peak RSS
+_SPAN = 512  # parents per span; a level with two spans per core is grown on every core
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +368,124 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _cores() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _span_children(parents: np.ndarray, stats: np.ndarray, n: int, m: int):
+    """(keys, |Aut|, stats) of every child of one span of parents, in order.
+
+    The parents are the (n, m-1) classes, or the trees on n-1 vertices when
+    m = n-1.  The children that pass _deletion_filter, or every pendant
+    child of a tree, are concatenated over the span's blocks, so each
+    _canonical_batch call but the span's last takes _CANON_CHUNK of them.
+    """
+    if m == n - 1:
+        blocks = [_pendant_children(parents, stats, n)]
+    else:
+        blocks = _deletion_filter(parents, stats, n)
+    children, grown = zip(*blocks)
+    children = np.concatenate(children)
+    batches = np.split(children, range(_CANON_CHUNK, len(children), _CANON_CHUNK))
+    keys, auts = zip(*map(_canonical_batch, batches))
+    return np.concatenate(keys), np.concatenate(auts), np.concatenate(grown, axis=1)
+
+
+def _forked(work, shares: list) -> list:
+    """[work(share) for share in shares], shares[1:] each in a worker
+    process made by os.fork, and shares[0] in this one.
+
+    A worker reads what it needs through copy-on-write, pickles its result
+    into a pipe and leaves by os._exit, so no atexit handler runs and no
+    inherited stdio buffer is flushed twice.  A worker that raises writes
+    its traceback to stderr and exits 1, and this process then raises
+    RuntimeError with its exit status.  A share whose pipe or fork raises
+    OSError (no descriptor or process left) runs in this process instead,
+    with the same result.  On any exception here, every worker not yet
+    reaped is killed and reaped before it propagates.
+    """
+    results = [None] * len(shares)
+    mine = [0]
+    workers = []  # (share, pid, pipe) of every worker not yet reaped
+    try:
+        for share in range(1, len(shares)):
+            try:
+                read, write = os.pipe()
+            except OSError:
+                mine.append(share)
+                continue
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                mine.append(share)
+                continue
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read)
+                    with os.fdopen(write, "wb") as pipe:
+                        pickle.dump(work(shares[share]), pipe, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                except BaseException:
+                    os.write(2, traceback.format_exc().encode())
+                finally:
+                    os._exit(status)
+            os.close(write)
+            workers.append((share, pid, os.fdopen(read, "rb")))
+        for share in mine:
+            results[share] = work(shares[share])
+        while workers:
+            share, pid, pipe = workers[0]
+            with pipe:
+                try:
+                    results[share] = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    pass  # a worker that failed mid-write; its status says so
+            _, status = os.waitpid(pid, 0)
+            workers.pop(0)
+            code = os.waitstatus_to_exitcode(status)
+            if code or results[share] is None:
+                raise RuntimeError(f"a class enumeration worker exited with status {code}")
+    except BaseException:
+        for _, pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    return results
+
+
+def _level_children(parents: np.ndarray, stats: np.ndarray, n: int, m: int):
+    """(keys, |Aut|, stats) of every child of a level's parents, span by
+    span (_span_children) in span order.
+
+    The parents are cut into spans of _SPAN.  When os.fork exists and the
+    level gives each of the cores this process may use (_cores) at least
+    two spans, worker i of cores-1 forked ones takes spans i, i + cores,
+    i + 2 cores, ... and this process takes spans 0, cores, ... (_forked);
+    the parts are then put back in span order.  Otherwise every span runs
+    here.  Either way the children come out in the same order.
+    """
+    starts = range(0, len(parents), _SPAN)
+
+    def work(share):
+        return [_span_children(parents[s:s + _SPAN], stats[:, s:s + _SPAN], n, m) for s in share]
+
+    cores = _cores()
+    if hasattr(os, "fork") and cores > 1 and len(parents) >= 2 * cores * _SPAN:
+        shares = _forked(work, [starts[i::cores] for i in range(cores)])
+        parts = [shares[i % cores][i // cores] for i in range(len(starts))]
+    else:
+        parts = work(starts)
+    keys, auts, grown = zip(*parts)
+    return np.concatenate(keys), np.concatenate(auts), np.concatenate(grown, axis=1)
+
+
 @lru_cache(maxsize=1)
 def _connected_classes(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Connected classes with n vertices and m edges: a (K,
@@ -375,36 +509,35 @@ def _connected_classes(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     26, 1998), which drops most children before their canonical form is
     built.
 
-    Children that pass are canonicalized _CANON_CHUNK at a time by
-    _canonical_batch, and deduplicated by sorting the keys' bytes, which
-    orders the classes as the tuples of their canonical rows would.  So
-    the output does not depend on which child reached a class first.
-    Every child is born with its stats, derived from its parent's
-    (_grown); isomorphic children have equal stats, so each class keeps
-    those of its first sorted row.  Before returning, the classes' |Aut|
-    values must satisfy sum n!/|Aut| = labelled connected count.  Both
-    cached arrays are read-only, since every caller shares them; parents
-    become adjacency masks by unpacking their keys (_cube, _masks).
-    Only the last level built is cached: every caller asks for levels in
-    increasing m, so each level finds the one it grows from, and older
-    levels are freed.
+    The parents are grown in spans of _SPAN (_level_children).  Children
+    of different parents meet only at the level's dedupe, so a level
+    whose parents give each of the cores this process may use at least
+    two spans is grown by forked workers on every core, the others in
+    this process; the spans' children are put back in span order before
+    the sort, so the output does not depend on the core count.  A worker
+    that fails makes this raise RuntimeError; a fork or pipe that fails
+    leaves its share to this process.  No worker outlives the call.
+
+    A span's children are canonicalized _CANON_CHUNK at a time by
+    _canonical_batch, and the level's are deduplicated by sorting the
+    keys' bytes, which orders the classes as the tuples of their
+    canonical rows would.  So the output does not depend on which child
+    reached a class first.  Every child is born with its stats, derived
+    from its parent's (_grown); isomorphic children have equal stats, so
+    each class keeps those of its first sorted row.  Before returning,
+    the classes' |Aut| values must satisfy sum n!/|Aut| = labelled
+    connected count.  Both cached arrays are read-only, since every
+    caller shares them; parents become adjacency masks by unpacking
+    their keys (_cube, _masks).  Only the last level built is cached:
+    every caller asks for levels in increasing m, so each level finds
+    the one it grows from, and older levels are freed.
     """
     if m < n - 1 or n == 1:
         count = int(m == n - 1)  # K_1, or no class
         keys = np.zeros((count, (comb(n, 2) + 7) // 8), dtype=np.uint8)
         return _frozen(keys), _frozen(np.zeros((2, count), dtype=np.int32))
-    if m == n - 1:
-        blocks = [_pendant_children(*_connected_classes(n - 1, m - 1), n)]
-    else:
-        blocks = _deletion_filter(*_connected_classes(n, m - 1), n)
-    keys, auts, stats = [], [], []
-    for children, grown in blocks:
-        stats.append(grown)
-        for start in range(0, len(children), _CANON_CHUNK):
-            batch_keys, batch_auts = _canonical_batch(children[start:start + _CANON_CHUNK])
-            keys.append(batch_keys)
-            auts.append(batch_auts)
-    keys, auts, stats = np.concatenate(keys), np.concatenate(auts), np.concatenate(stats, axis=1)
+    parents = _connected_classes(n - 1, m - 1) if m == n - 1 else _connected_classes(n, m - 1)
+    keys, auts, stats = _level_children(*parents, n, m)
     order = np.lexsort(keys.T[::-1])
     keys = keys[order]
     first = np.ones(len(keys), dtype=bool)

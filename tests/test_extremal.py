@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import random
 from collections import Counter
 from math import comb, factorial
@@ -233,15 +234,141 @@ class TestCanonical:
                     nx_automorphism_count(ug) for ug in classes
                 ], (n, m)
 
-    @pytest.mark.parametrize("chunk", [1, 7])
-    def test_chunk_boundaries_leave_the_classes_unchanged(self, monkeypatch, chunk):
+    @pytest.mark.parametrize(
+        "n,chunk,span",
+        [(7, 1, None), (7, 7, None), (7, 7, 7), (8, 7, 7)],
+        ids=["1", "7", "span-7-n7", "span-7-n8"],
+    )
+    def test_chunk_boundaries_leave_the_classes_unchanged(self, monkeypatch, n, chunk, span):
         # canonical batches of 1 or 7 children and filter steps of 7
         # parents give the same keys, and the same stats carried from
-        # each class's parent
-        want = {m: _connected_classes(7, m) for m in range(6, 22)}
+        # each class's parent; so do spans of 7 parents, with which every
+        # level of two spans per core or more is grown by forked workers
+        levels = range(n - 1, comb(n, 2) + 1)
+        want = {m: _connected_classes(n, m) for m in levels}
         _connected_classes.cache_clear()
         monkeypatch.setattr(extremal, "_CANON_CHUNK", chunk)
         monkeypatch.setattr(extremal, "_CUBE_CHUNK", 7)
+        forks = 0
+        if span:
+            real = os.fork
+
+            def counted():
+                nonlocal forks
+                forks += 1
+                return real()
+
+            monkeypatch.setattr(extremal, "_SPAN", span)
+            monkeypatch.setattr(os, "fork", counted)
+        try:
+            for m in levels:
+                keys, stats = _connected_classes(n, m)
+                assert np.array_equal(keys, want[m][0]), m
+                assert np.array_equal(stats, want[m][1]), m
+        finally:
+            _connected_classes.cache_clear()
+        if span and extremal._cores() > 1:
+            assert forks
+
+
+def _forking(monkeypatch):
+    # spans of one parent on two cores: every level of 4 parents or more forks
+    monkeypatch.setattr(extremal, "_SPAN", 1)
+    monkeypatch.setattr(extremal, "_cores", lambda: 2)
+
+
+def _failing_in(monkeypatch, workers, error):
+    # _canonical_batch raises in the workers only, or in this process only
+    me = os.getpid()
+    real = extremal._canonical_batch
+
+    def failing(adj):
+        if (os.getpid() != me) == workers:
+            raise error
+        return real(adj)
+
+    monkeypatch.setattr(extremal, "_canonical_batch", failing)
+
+
+def _no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="levels fork only where os.fork exists")
+class TestForkedLevels:
+    def test_a_failed_worker_raises(self, monkeypatch, capfd):
+        _connected_classes.cache_clear()
+        _connected_classes(7, 7)  # so (7, 8) grows from the cached level
+        _forking(monkeypatch)
+        _failing_in(monkeypatch, True, ValueError("a worker fails"))
+        try:
+            with pytest.raises(RuntimeError, match="worker exited with status 1"):
+                _connected_classes(7, 8)
+        finally:
+            _connected_classes.cache_clear()
+        _no_worker_left()
+        assert "ValueError: a worker fails" in capfd.readouterr().err
+
+    def test_a_failed_worker_exits_5(self, monkeypatch, capsys):
+        _forking(monkeypatch)
+        _failing_in(monkeypatch, True, ValueError("a worker fails"))
+        _connected_classes.cache_clear()
+        try:
+            assert main(["verify", "--n", "7", "--m", "8"]) == 5
+        finally:
+            _connected_classes.cache_clear()
+        _no_worker_left()
+        assert "worker exited with status 1" in capsys.readouterr().err
+
+    def test_an_interrupt_here_kills_every_worker(self, monkeypatch):
+        # the interrupt comes in this process's own share of a forked level
+        _connected_classes.cache_clear()
+        _connected_classes(7, 7)
+        _forking(monkeypatch)
+        _failing_in(monkeypatch, False, KeyboardInterrupt)
+        forks = 0
+        real = os.fork
+
+        def counted():
+            nonlocal forks
+            forks += 1
+            return real()
+
+        monkeypatch.setattr(os, "fork", counted)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                _connected_classes(7, 8)
+        finally:
+            _connected_classes.cache_clear()
+        assert forks == 1
+        _no_worker_left()
+
+    def test_children_come_out_in_span_order(self, monkeypatch):
+        # forked or not, a level's children and their |Aut| and stats
+        # reach the dedupe in the same order
+        parents = _connected_classes(7, 8)
+        want = extremal._level_children(*parents, 7, 9)
+        _forking(monkeypatch)
+        got = extremal._level_children(*parents, 7, 9)
+        assert np.array_equal(got[0], want[0])
+        assert got[1].tolist() == want[1].tolist()
+        assert np.array_equal(got[2], want[2])
+        _no_worker_left()
+
+    @pytest.mark.parametrize("call", ["fork", "pipe"])
+    def test_a_refused_fork_or_pipe_runs_its_share_here(self, monkeypatch, call):
+        want = {m: _connected_classes(7, m) for m in range(6, 22)}
+        _connected_classes.cache_clear()
+        _forking(monkeypatch)
+        refusals = 0
+
+        def refused():
+            nonlocal refusals
+            refusals += 1
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, call, refused)
         try:
             for m in range(6, 22):
                 keys, stats = _connected_classes(7, m)
@@ -249,6 +376,38 @@ class TestCanonical:
                 assert np.array_equal(stats, want[m][1]), m
         finally:
             _connected_classes.cache_clear()
+        assert refusals
+        _no_worker_left()
+
+    def test_verify_prints_one_certificate_forked_or_not(self, monkeypatch, capfd):
+        # (9, 12) and (9, 13) grow from 2,075 and 4,495 parents, so they
+        # fork on 2 cores at the default span; a span past every level
+        # keeps them in this process
+        forks = 0
+        real = os.fork
+
+        def counted():
+            nonlocal forks
+            forks += 1
+            return real()
+
+        monkeypatch.setattr(os, "fork", counted)
+        outputs = []
+        for span in (extremal._SPAN, 10**9):
+            monkeypatch.setattr(extremal, "_SPAN", span)
+            _connected_classes.cache_clear()
+            try:
+                assert main(["verify", "--n", "9", "--m", "13"]) == 0
+            finally:
+                _connected_classes.cache_clear()
+            out, err = capfd.readouterr()
+            assert err == ""
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["verdict"] == "pass"
+        if extremal._cores() > 1 and 2 * extremal._cores() * extremal._SPAN <= 4495:
+            assert forks
+        _no_worker_left()
 
 
 class TestClassEnumeration:
