@@ -44,17 +44,17 @@ deleting such an edge from any class leaves a connected (n, m-1) class.
 The filter runs in numpy over (parent, non-edge, edge) arrays.
 A child P + uv has q(P) + (A^3)_uv 4-cycles for P's adjacency A, one
 per walk u-a-b-v, and its M(G,2) follows from P's degrees.
-Each level's parents are cut into spans of _SPAN, and one function
-grows a span: it filters, then canonicalizes the span's children
-_CANON_CHUNK at a time.  Children of different parents meet only at the
-level's dedupe, so a level whose parents give each CPU this process may
-use (os.sched_getaffinity, else os.cpu_count) two spans or more is
-grown by workers made by os.fork, each taking every cores-th span and
-this process the rest.  The spans' children are put back in span order
-before the level's sort, so keys, stats and class order do not depend on
-the number of cores.  A worker that fails makes enumeration raise
-RuntimeError; a fork or pipe that the system refuses leaves that share
-to this process; no worker outlives the call.
+Each level's parents are cut into spans of _SPAN, the one unit of
+enumeration work: a span's children are filtered in one step and
+canonicalized in one _canonical_batch call.  Children of different
+parents meet only at the level's dedupe, so a level whose parents give
+each CPU this process may use (os.sched_getaffinity, else os.cpu_count)
+two spans or more is grown by workers made by os.fork, each taking every
+cores-th span and this process the rest.  The spans' children are put
+back in span order before the level's sort, so keys, stats and class
+order do not depend on the number of cores.  A worker that fails makes
+enumeration raise RuntimeError; a fork or pipe that the system refuses
+leaves that share to this process; no worker outlives the call.
 Completeness is checked at run time: over the classes, sum n!/|Aut| must
 equal the labelled connected count, or enumeration raises RuntimeError.
 Keys are decoded into graphs only for enumerate_connected_underlying's
@@ -100,9 +100,7 @@ __all__ = [
 DEFAULT_MAX_N = 9
 _ORIENTATION_GUARD = 30  # a census stands for 2^m orientations
 _CENSUS_CHUNK = 4096
-_CANON_CHUNK = 1024  # children per _canonical_batch call; larger ones raise peak RSS
-_CUBE_CHUNK = 128  # parents per filter step, or classes per decode; bounds peak RSS
-_SPAN = 512  # parents per span; a level with two spans per core is grown on every core
+_SPAN = 128  # parents per filter step and canonical batch; larger spans raise peak RSS
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +207,9 @@ def _class_graphs(keys: np.ndarray, n: int) -> list[UndirectedGraph]:
     """The canonically labeled n-vertex graphs a packed key array describes."""
     low, high = np.tril_indices(n, -1)
     pairs = list(zip(high.tolist(), low.tolist()))
-    graphs = []
-    for start in range(0, len(keys), _CUBE_CHUNK):
-        bits = np.unpackbits(keys[start:start + _CUBE_CHUNK], axis=1, count=len(pairs))
-        for row in bits.tolist():
-            graphs.append(UndirectedGraph(n, tuple(compress(pairs, row))))
-    return graphs
+    bits = np.unpackbits(keys, axis=1, count=len(pairs))
+    # row by row: bits.tolist() would hold about 0.5 KB a class at once
+    return [UndirectedGraph(n, tuple(compress(pairs, row.tolist()))) for row in bits]
 
 
 @lru_cache(maxsize=None)
@@ -296,14 +291,14 @@ def _pendant_children(trees: np.ndarray, stats: np.ndarray, n: int):
 
 
 def _deletion_filter(parents: np.ndarray, stats: np.ndarray, n: int):
-    """Adjacency masks and stats (_grown) of the children P + uv that pass
-    the filter, per chunk.
+    """Adjacency masks and stats (_grown) of the children P + uv of one
+    span of parents that pass the filter.
 
     A child passes when no cycle edge of it has a larger invariant
     (max degree, min degree, common neighbours) than uv, each packed
     into one int with fields n.bit_length() bits wide.  Every child's
     invariants follow from its parent's, over (parent, non-edge, edge)
-    arrays for _CUBE_CHUNK parents at a time:
+    arrays for the whole span at once:
 
     - adding uv raises the degrees of u and v by one and gives a parent
       edge (u, w) one more common neighbour exactly when w ~ v (likewise
@@ -325,42 +320,40 @@ def _deletion_filter(parents: np.ndarray, stats: np.ndarray, n: int):
     def invariant(dx, dy, common):
         return (np.maximum(dx, dy) << width | np.minimum(dx, dy)) << width | common
 
-    for start in range(0, len(parents), _CUBE_CHUNK):
-        cube = _cube(parents[start:start + _CUBE_CHUNK], n)
-        count = len(cube)
-        rows = np.arange(count)[:, None]
-        adj = _masks(cube)
-        common = _common(cube)
-        deg = common[:, verts, verts]
-        present = cube[:, iu, ju]  # every parent has the same number of edges
-        pair = np.nonzero(present)[1].reshape(count, -1)
-        x, y = iu[pair], ju[pair]
-        pair = np.nonzero(~present)[1].reshape(count, -1)
-        u, v = iu[pair], ju[pair]
-        dx, dy, cxy = deg[rows, x], deg[rows, y], common[rows, x, y]
-        side = _edge_sides(adj, x, y)
-        cycle = ((side >> y) & 1).astype(bool)
-        top = np.where(cycle, invariant(dx, dy, cxy), -1).max(axis=1)
-        mine = invariant(deg[rows, u] + 1, deg[rows, v] + 1, common[rows, u, v])
-        # the children no parent cycle edge rejects, one row each
-        p, k = np.nonzero(top[:, None] <= mine)
-        u, v, mine = u[p, k, None], v[p, k, None], mine[p, k, None]
-        xp, yp, side = x[p], y[p], side[p]
-        at_x = (xp == u) | (xp == v)
-        at_y = (yp == u) | (yp == v)
-        # u ^ v ^ x is the end of uv other than x, when x is one
-        gained = at_x & ((adj[p[:, None], yp] >> (u ^ v ^ xp)) & 1).astype(bool)
-        gained |= at_y & ((adj[p[:, None], xp] >> (u ^ v ^ yp)) & 1).astype(bool)
-        child = invariant(dx[p] + at_x, dy[p] + at_y, cxy[p] + gained)
-        on_cycle = cycle[p] | (((side >> u) ^ (side >> v)) & 1).astype(bool)
-        keep = ~(on_cycle & (child > mine)).any(axis=1)
-        p, u, v = p[keep], u[keep, 0], v[keep, 0]
-        children = adj[p]
-        children[np.arange(len(p)), u] |= bit[v]
-        children[np.arange(len(p)), v] |= bit[u]
-        walks = (common @ cube)[p, u, v]
-        parent = stats[:, start:start + _CUBE_CHUNK][:, p]
-        yield children, _grown(parent, x.shape[1], deg[p, u], deg[p, v], walks)
+    cube = _cube(parents, n)
+    count = len(cube)
+    rows = np.arange(count)[:, None]
+    adj = _masks(cube)
+    common = _common(cube)
+    deg = common[:, verts, verts]
+    present = cube[:, iu, ju]  # every parent has the same number of edges
+    pair = np.nonzero(present)[1].reshape(count, -1)
+    x, y = iu[pair], ju[pair]
+    pair = np.nonzero(~present)[1].reshape(count, -1)
+    u, v = iu[pair], ju[pair]
+    dx, dy, cxy = deg[rows, x], deg[rows, y], common[rows, x, y]
+    side = _edge_sides(adj, x, y)
+    cycle = ((side >> y) & 1).astype(bool)
+    top = np.where(cycle, invariant(dx, dy, cxy), -1).max(axis=1)
+    mine = invariant(deg[rows, u] + 1, deg[rows, v] + 1, common[rows, u, v])
+    # the children no parent cycle edge rejects, one row each
+    p, k = np.nonzero(top[:, None] <= mine)
+    u, v, mine = u[p, k, None], v[p, k, None], mine[p, k, None]
+    xp, yp, side = x[p], y[p], side[p]
+    at_x = (xp == u) | (xp == v)
+    at_y = (yp == u) | (yp == v)
+    # u ^ v ^ x is the end of uv other than x, when x is one
+    gained = at_x & ((adj[p[:, None], yp] >> (u ^ v ^ xp)) & 1).astype(bool)
+    gained |= at_y & ((adj[p[:, None], xp] >> (u ^ v ^ yp)) & 1).astype(bool)
+    child = invariant(dx[p] + at_x, dy[p] + at_y, cxy[p] + gained)
+    on_cycle = cycle[p] | (((side >> u) ^ (side >> v)) & 1).astype(bool)
+    keep = ~(on_cycle & (child > mine)).any(axis=1)
+    p, u, v = p[keep], u[keep, 0], v[keep, 0]
+    children = adj[p]
+    children[np.arange(len(p)), u] |= bit[v]
+    children[np.arange(len(p)), v] |= bit[u]
+    walks = (common @ cube)[p, u, v]
+    return children, _grown(stats[:, p], x.shape[1], deg[p, u], deg[p, v], walks)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -379,19 +372,12 @@ def _span_children(parents: np.ndarray, stats: np.ndarray, n: int, m: int):
     """(keys, |Aut|, stats) of every child of one span of parents, in order.
 
     The parents are the (n, m-1) classes, or the trees on n-1 vertices when
-    m = n-1.  The children that pass _deletion_filter, or every pendant
-    child of a tree, are concatenated over the span's blocks, so each
-    _canonical_batch call but the span's last takes _CANON_CHUNK of them.
+    m = n-1; the children are those that pass _deletion_filter, or every
+    pendant child of a tree.
     """
-    if m == n - 1:
-        blocks = [_pendant_children(parents, stats, n)]
-    else:
-        blocks = _deletion_filter(parents, stats, n)
-    children, grown = zip(*blocks)
-    children = np.concatenate(children)
-    batches = np.split(children, range(_CANON_CHUNK, len(children), _CANON_CHUNK))
-    keys, auts = zip(*map(_canonical_batch, batches))
-    return np.concatenate(keys), np.concatenate(auts), np.concatenate(grown, axis=1)
+    grow = _pendant_children if m == n - 1 else _deletion_filter
+    children, grown = grow(parents, stats, n)
+    return (*_canonical_batch(children), grown)
 
 
 def _forked(work, shares: list) -> list:
@@ -461,15 +447,9 @@ def _forked(work, shares: list) -> list:
 
 
 def _level_children(parents: np.ndarray, stats: np.ndarray, n: int, m: int):
-    """(keys, |Aut|, stats) of every child of a level's parents, span by
-    span (_span_children) in span order.
-
-    The parents are cut into spans of _SPAN.  When os.fork exists and the
-    level gives each of the cores this process may use (_cores) at least
-    two spans, worker i of cores-1 forked ones takes spans i, i + cores,
-    i + 2 cores, ... and this process takes spans 0, cores, ... (_forked);
-    the parts are then put back in span order.  Otherwise every span runs
-    here.  Either way the children come out in the same order.
+    """(keys, |Aut|, stats) of every child of a level's parents: those of
+    each span of _SPAN parents (_span_children), in span order, whether
+    the spans ran in this process or in forked workers (_forked).
     """
     starts = range(0, len(parents), _SPAN)
 
@@ -509,18 +489,8 @@ def _connected_classes(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     26, 1998), which drops most children before their canonical form is
     built.
 
-    The parents are grown in spans of _SPAN (_level_children).  Children
-    of different parents meet only at the level's dedupe, so a level
-    whose parents give each of the cores this process may use at least
-    two spans is grown by forked workers on every core, the others in
-    this process; the spans' children are put back in span order before
-    the sort, so the output does not depend on the core count.  A worker
-    that fails makes this raise RuntimeError; a fork or pipe that fails
-    leaves its share to this process.  No worker outlives the call.
-
-    A span's children are canonicalized _CANON_CHUNK at a time by
-    _canonical_batch, and the level's are deduplicated by sorting the
-    keys' bytes, which orders the classes as the tuples of their
+    The level's children (_level_children) are deduplicated by sorting
+    the keys' bytes, which orders the classes as the tuples of their
     canonical rows would.  So the output does not depend on which child
     reached a class first.  Every child is born with its stats, derived
     from its parent's (_grown); isomorphic children have equal stats, so

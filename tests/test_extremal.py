@@ -5,7 +5,7 @@ import json
 import os
 import random
 from collections import Counter
-from math import comb, factorial
+from math import ceil, comb, factorial
 
 import numpy as np
 import pytest
@@ -235,31 +235,26 @@ class TestCanonical:
                 ], (n, m)
 
     @pytest.mark.parametrize(
-        "n,chunk,span",
-        [(7, 1, None), (7, 7, None), (7, 7, 7), (8, 7, 7)],
-        ids=["1", "7", "span-7-n7", "span-7-n8"],
+        "n,span", [(7, 1), (7, 7), (8, 7)], ids=["span-1-n7", "span-7-n7", "span-7-n8"]
     )
-    def test_chunk_boundaries_leave_the_classes_unchanged(self, monkeypatch, n, chunk, span):
-        # canonical batches of 1 or 7 children and filter steps of 7
-        # parents give the same keys, and the same stats carried from
-        # each class's parent; so do spans of 7 parents, with which every
-        # level of two spans per core or more is grown by forked workers
+    def test_chunk_boundaries_leave_the_classes_unchanged(self, monkeypatch, n, span):
+        # spans of 1 or 7 parents, each one filter step and one canonical
+        # batch, give the same keys, and the same stats carried from each
+        # class's parent; with them every level of two spans per core or
+        # more is grown by forked workers
         levels = range(n - 1, comb(n, 2) + 1)
         want = {m: _connected_classes(n, m) for m in levels}
         _connected_classes.cache_clear()
-        monkeypatch.setattr(extremal, "_CANON_CHUNK", chunk)
-        monkeypatch.setattr(extremal, "_CUBE_CHUNK", 7)
         forks = 0
-        if span:
-            real = os.fork
+        real = os.fork
 
-            def counted():
-                nonlocal forks
-                forks += 1
-                return real()
+        def counted():
+            nonlocal forks
+            forks += 1
+            return real()
 
-            monkeypatch.setattr(extremal, "_SPAN", span)
-            monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(extremal, "_SPAN", span)
+        monkeypatch.setattr(os, "fork", counted)
         try:
             for m in levels:
                 keys, stats = _connected_classes(n, m)
@@ -267,8 +262,29 @@ class TestCanonical:
                 assert np.array_equal(stats, want[m][1]), m
         finally:
             _connected_classes.cache_clear()
-        if span and extremal._cores() > 1:
+        if extremal._cores() > 1:
             assert forks
+
+    @pytest.mark.parametrize(
+        "n,m,below", [(8, 7, (7, 6)), (7, 9, (7, 8))], ids=["pendant", "filter"]
+    )
+    def test_each_span_is_one_canonical_batch(self, monkeypatch, n, m, below):
+        # in this process, a level of P parents makes ceil(P / _SPAN) batches,
+        # whether its children are pendant or pass _deletion_filter
+        keys, stats = _connected_classes(*below)
+        batches = 0
+        real = extremal._canonical_batch
+
+        def counted(adj):
+            nonlocal batches
+            batches += 1
+            return real(adj)
+
+        monkeypatch.setattr(extremal, "_cores", lambda: 1)
+        monkeypatch.setattr(extremal, "_SPAN", 7)
+        monkeypatch.setattr(extremal, "_canonical_batch", counted)
+        extremal._level_children(keys, stats, n, m)
+        assert batches == ceil(len(keys) / 7) > 1
 
 
 def _forking(monkeypatch):
@@ -380,9 +396,9 @@ class TestForkedLevels:
         _no_worker_left()
 
     def test_verify_prints_one_certificate_forked_or_not(self, monkeypatch, capfd):
-        # (9, 12) and (9, 13) grow from 2,075 and 4,495 parents, so they
-        # fork on 2 cores at the default span; a span past every level
-        # keeps them in this process
+        # (9, 11), (9, 12) and (9, 13) grow from 797, 2,075 and 4,495
+        # parents, so they fork on 2 cores at the default span; a span past
+        # every level keeps them in this process
         forks = 0
         real = os.fork
 
