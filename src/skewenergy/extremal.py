@@ -55,6 +55,14 @@ back in span order before the level's sort, so keys, stats and class
 order do not depend on the number of cores.  A worker that fails makes
 enumeration raise RuntimeError; a fork or pipe that the system refuses
 leaves that share to this process; no worker outlives the call.
+A span's work holds every adjacency mask, side set and row of the
+canonical search in one integer type chosen from n (_mask_type): int16
+for n <= 15, int32 for n <= 31 and int64 up to n = 62, above which the
+canonical search refuses.  A row holds at most bits n-1..1, so the
+type's maximum lies above every row, the canonical search's bar on a
+non-candidate.  Degrees are int8, common-neighbour counts and walks
+int16 (each at most (n-1)^2), the packed edge invariants int32 (three
+fields of n.bit_length() bits) and |Aut| exact Python ints.
 Completeness is checked at run time: over the classes, sum n!/|Aut| must
 equal the labelled connected count, or enumeration raises RuntimeError.
 Keys are decoded into graphs only for enumerate_connected_underlying's
@@ -107,15 +115,22 @@ _SPAN = 128  # parents per filter step and canonical batch; larger spans raise p
 # canonical labeling and isomorphism-free enumeration
 # ---------------------------------------------------------------------------
 
+def _mask_type(n: int) -> type:
+    """The integer type of the masks and rows of n-vertex graphs: the
+    narrowest signed type with n bits below its sign bit, n <= 62."""
+    return np.int16 if n <= 15 else np.int32 if n <= 31 else np.int64
+
+
 def _canonical_batch(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(keys, |Aut|) of a stack of graphs under the degree-sorted minimum
     bit-string order.
 
-    adj is a (B, n) int64 array, row b holding graph b's adjacency masks;
-    the masks must fit an int64, so n <= 62.  Returns the (B,
-    ceil(C(n,2)/8)) uint8 keys and the (B,) exact |Aut| (object dtype,
-    Python ints).  The search builds row d of a key as an int64 with bit
-    d-1-i set exactly when the vertices placed at i and d are adjacent;
+    adj is a (B, n) integer array, row b holding graph b's adjacency
+    masks, n <= 62; the search holds them, and every row, in
+    _mask_type(n).  Returns the (B, ceil(C(n,2)/8)) uint8 keys and the
+    (B,) exact |Aut| (object dtype, Python ints).  The search builds row
+    d of a key with bit d-1-i set exactly when the vertices placed at i
+    and d are adjacent;
     the rows' bits, MSB first, are the lower triangle in
     np.tril_indices(n, -1) order, which is packed once at return.  So
     the key is the canonically labeled graph itself (_cube,
@@ -142,11 +157,14 @@ def _canonical_batch(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     count, n = adj.shape
     if n > 62:
         raise ValueError(f"the batched canonical search needs n <= 62, got n = {n}")
-    verts = np.arange(n, dtype=np.int64)
-    bit = np.int64(1) << verts
-    # degrees from the masks' bits, one byte each: an int64 cube is 8 times larger
-    octets = np.ascontiguousarray(adj, dtype="<i8").view(np.uint8).reshape(count, n, 8)
-    deg = np.unpackbits(octets, axis=2, count=n, bitorder="little").sum(axis=2, dtype=np.int64)
+    kind = _mask_type(n)
+    adj = adj.astype(kind, copy=False)
+    verts = np.arange(n, dtype=kind)
+    bit = kind(1) << verts
+    # degrees from the masks' bits, one byte each: a cube in the masks' type is 2-8 times larger
+    octets = np.ascontiguousarray(adj, dtype=np.dtype(kind).newbyteorder("<")).view(np.uint8)
+    octets = octets.reshape(count, n, adj.itemsize)
+    deg = np.unpackbits(octets, axis=2, count=n, bitorder="little").sum(axis=2, dtype=np.int8)
     wants = -np.sort(-deg, axis=1)
     closed = adj | bit
     lower = (  # lower[b, v, u]: u < v, and u and v are twins
@@ -156,12 +174,12 @@ def _canonical_batch(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # prod over vertices of (1 + lower twins) is prod over classes of |class|!
     twin_swaps = np.prod((lower.sum(axis=2) + 1).astype(object), axis=1)
 
-    keys = np.empty((count, n), dtype=np.int64)
-    barred = np.iinfo(np.int64).max  # the row of a non-candidate: above every row
+    keys = np.empty((count, n), dtype=kind)
+    barred = kind(np.iinfo(kind).max)  # the row of a non-candidate: above every row
     owner = np.arange(count)
     starts = owner
-    used = np.zeros(count, dtype=np.int64)
-    rows = np.zeros((count, n), dtype=np.int64)
+    used = np.zeros(count, dtype=kind)
+    rows = np.zeros((count, n), dtype=kind)
     for d in range(n):
         cand = (
             ((used[:, None] & bit) == 0)
@@ -178,7 +196,8 @@ def _canonical_batch(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rows = rows[e] | ((adj[owner, v, None] >> verts) & 1) << (n - 1 - d)
     low, high = np.tril_indices(n, -1)
     auts = np.bincount(owner, minlength=count).astype(object) * twin_swaps
-    return np.packbits((keys[:, low] >> (low - 1 - high)) & 1, axis=1), auts
+    shifts = (low - 1 - high).astype(kind)
+    return np.packbits((keys[:, low] >> shifts) & 1, axis=1), auts
 
 
 def _cube(keys: np.ndarray, n: int) -> np.ndarray:
@@ -193,13 +212,14 @@ def _cube(keys: np.ndarray, n: int) -> np.ndarray:
 
 
 def _masks(cube: np.ndarray) -> np.ndarray:
-    """(K, n) int64 adjacency masks of a 0/1 adjacency cube."""
-    return cube @ (np.int64(1) << np.arange(cube.shape[1], dtype=np.int64))
+    """(K, n) adjacency masks of a 0/1 adjacency cube, in _mask_type(n)."""
+    kind = _mask_type(cube.shape[1])
+    return cube @ (kind(1) << np.arange(cube.shape[1], dtype=kind))
 
 
 def _common(cube: np.ndarray) -> np.ndarray:
-    """(K, n, n) common-neighbour counts A.A, degrees on the diagonal."""
-    a = cube.astype(np.int64)
+    """(K, n, n) int16 common-neighbour counts A.A, degrees on the diagonal."""
+    a = cube.astype(np.int16)
     return a @ a
 
 
@@ -243,13 +263,15 @@ def _check_complete(n: int, m: int, automorphisms) -> None:
 def _edge_sides(adj: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per edge xy of each graph, the mask of vertices x reaches without xy.
 
-    adj is (P, n) adjacency masks and x, y are (P, E) edge ends.  The
-    edge lies on a cycle exactly when its side holds y; a bridge's side
-    is x's component once the edge is gone.  Grows every side at once,
-    one breadth-first step per pass, until none grows.
+    adj is (P, n) adjacency masks and x, y are (P, E) edge ends; the sides
+    have the masks' type.  The edge lies on a cycle exactly when its side
+    holds y; a bridge's side is x's component once the edge is gone.
+    Grows every side at once, one breadth-first step per pass, until none
+    grows.
     """
-    verts = np.arange(adj.shape[1], dtype=np.int64)
-    bit = np.int64(1) << verts
+    kind = adj.dtype.type
+    verts = np.arange(adj.shape[1], dtype=kind)
+    bit = kind(1) << verts
     rows = np.arange(len(adj))[:, None]
     cut = np.repeat(adj[:, None, :], x.shape[1], axis=1)  # (P, E, n), less the edge
     np.put_along_axis(cut, x[..., None], (adj[rows, x] & ~bit[y])[..., None], axis=2)
@@ -277,16 +299,18 @@ def _grown(stats: np.ndarray, edges: int, du, dv, walks) -> np.ndarray:
 def _pendant_children(trees: np.ndarray, stats: np.ndarray, n: int):
     """Adjacency masks and stats of every tree on n-1 vertices plus a leaf
     n-1 at each vertex."""
-    bit = np.int64(1) << np.arange(n, dtype=np.int64)
+    kind = _mask_type(n)
+    bit = kind(1) << np.arange(n, dtype=kind)
     cube = _cube(trees, n - 1)
-    adj = np.zeros((len(trees), n), dtype=np.int64)
+    adj = np.zeros((len(trees), n), dtype=kind)
     adj[:, :-1] = _masks(cube)
     children = np.repeat(adj[:, None, :], n - 1, axis=1)
     v = np.arange(n - 1)
     children[:, v, v] |= bit[-1]
     children[:, v, -1] = bit[v]
     # the new leaf has degree 0 in the parent, and a pendant edge closes no cycle
-    grown = _grown(np.repeat(stats, n - 1, axis=1), n - 2, cube.sum(axis=2).reshape(-1), 0, 0)
+    deg = cube.sum(axis=2, dtype=np.int8).reshape(-1)
+    grown = _grown(np.repeat(stats, n - 1, axis=1), n - 2, deg, 0, 0)
     return children.reshape(-1, n), grown
 
 
@@ -296,7 +320,7 @@ def _deletion_filter(parents: np.ndarray, stats: np.ndarray, n: int):
 
     A child passes when no cycle edge of it has a larger invariant
     (max degree, min degree, common neighbours) than uv, each packed
-    into one int with fields n.bit_length() bits wide.  Every child's
+    into one int32 with fields n.bit_length() bits wide.  Every child's
     invariants follow from its parent's, over (parent, non-edge, edge)
     arrays for the whole span at once:
 
@@ -312,13 +336,16 @@ def _deletion_filter(parents: np.ndarray, stats: np.ndarray, n: int):
     stats of a child that passes come from its parent's: as u !~ v, the
     walks u-a-b-v, the 4-cycles through uv, number (A.A.A)_uv.
     """
-    verts = np.arange(n, dtype=np.int64)
-    bit = np.int64(1) << verts
+    kind = _mask_type(n)
+    verts = np.arange(n, dtype=kind)
+    bit = kind(1) << verts
     width = n.bit_length()
-    iu, ju = np.triu_indices(n, 1)
+    # vertex indices in the masks' type, so shifting a mask by one keeps its type
+    iu, ju = (ends.astype(kind) for ends in np.triu_indices(n, 1))
 
     def invariant(dx, dy, common):
-        return (np.maximum(dx, dy) << width | np.minimum(dx, dy)) << width | common
+        high, low = np.maximum(dx, dy).astype(np.int32), np.minimum(dx, dy).astype(np.int32)
+        return (high << width | low) << width | common
 
     cube = _cube(parents, n)
     count = len(cube)

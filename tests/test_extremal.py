@@ -28,7 +28,9 @@ from skewenergy.extremal import (
     _connected_classes,
     _cube,
     _decide,
+    _deletion_filter,
     _edge_sides,
+    _mask_type,
     crossover_table,
     enumerate_connected_underlying,
     labelled_connected_count,
@@ -980,3 +982,102 @@ class TestFigFGraph:
         census = orientation_coefficient_census(self.f)
         assert sum(census.values()) == 2**9
         assert min(vec[2] for vec in census) > a4_o
+
+
+def _random_connected(n, m, rng):
+    """A random connected n-vertex graph with m edges: a random tree plus
+    m - n + 1 random edges."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    tree = {tuple(sorted((perm[i], perm[rng.randrange(i)]))) for i in range(1, n)}
+    rest = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
+    return UndirectedGraph(n, tuple(sorted(tree | set(rng.sample(rest, m - n + 1)))))
+
+
+def _degrees(ug):
+    return [mask.bit_count() for mask in ug.adjacency_masks()]
+
+
+class TestMaskTypeBoundaries:
+    """Masks and rows are int16 for n <= 15, int32 for n <= 31 and int64
+    above: each test runs on both sides of a boundary, where a wrong
+    sentinel, shift or cast changes a key, a side or a child."""
+
+    def test_mask_type_is_the_narrowest_with_n_bits_below_the_sign(self):
+        kinds = [_mask_type(n) for n in (1, 15, 16, 31, 32, 62)]
+        assert kinds == [np.int16, np.int16, np.int32, np.int32, np.int64, np.int64]
+
+    @pytest.mark.parametrize("n", [15, 16, 31, 32])
+    def test_complete_graphs_have_all_ones_rows_and_n_factorial(self, n):
+        # K_n's rows are its type's widest, 2^n - 2 at the last depth, just
+        # under the bar on non-candidates; K_n less one edge places its two
+        # deficient vertices last
+        rng = random.Random(5100 + n)
+        full = (tuple((1 << d) - 1 for d in range(n)), factorial(n))
+        less = UndirectedGraph(n, _complete(n).edges[1:])
+        rows = tuple((1 << d) - 1 for d in range(n - 1)) + (((1 << (n - 2)) - 1) << 1,)
+        short = (rows, 2 * factorial(n - 2))
+        graphs = [_complete(n), _relabeled(_complete(n), rng), less, _relabeled(less, rng)]
+        assert _batch(graphs) == [full, full, short, short]
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_random_graphs_match_the_scalar_search(self, n):
+        rng = random.Random(5200 + n)
+        pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        sizes = [rng.randint(len(pool) // 4, 3 * len(pool) // 4) for _ in range(8)]
+        graphs = [UndirectedGraph(n, tuple(rng.sample(pool, size))) for size in sizes]
+        want = [canonical_scalar(g.adjacency_masks()) for g in graphs]
+        assert _batch(graphs + [_relabeled(g, rng) for g in graphs]) == want + want
+
+    @pytest.mark.parametrize("n", [15, 16, 31, 32])
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    def test_deletion_filter_passes_the_oracle_children(self, n, dense):
+        # as many children as the oracle's recomputed invariants pass, each
+        # one edge more than its parent, with its own M(G,2) and q(G); sparse
+        # parents have bridges, and dense ones over 127 walks u-a-b-v
+        rng = random.Random(5300 + n + dense)
+        m = comb(n, 2) - n // 2 if dense else 5 * n // 4
+        parents = [_random_connected(n, m, rng) for _ in range(3)]
+        low, high = np.tril_indices(n, -1)
+        keys = []
+        for ug in parents:
+            cube = np.zeros((n, n), dtype=bool)
+            for u, v in ug.edges:
+                cube[u, v] = cube[v, u] = True
+            keys.append(np.packbits(cube[low, high]))
+        stats = np.array(
+            [[_two_matching_count(m, _degrees(ug)), count_quadrangles(ug)] for ug in parents],
+            dtype=np.int32,
+        ).T
+        children, grown = _deletion_filter(np.array(keys), stats, n)
+        assert children.dtype == _mask_type(n)
+        assert len(children) == deletion_filter_survivors(n, [ug.edges for ug in parents]) > 0
+        for masks, got in zip(children.tolist(), grown.T.tolist()):
+            child = UndirectedGraph(
+                n, tuple((u, v) for v in range(n) for u in range(v) if masks[v] >> u & 1)
+            )
+            assert child.m == m + 1
+            assert got == [_two_matching_count(m + 1, _degrees(child)), count_quadrangles(child)]
+
+    @pytest.mark.parametrize("n", [2, 15, 16, 31, 32, 33])
+    def test_edge_sides_match_networkx_bridges_in_each_type(self, n):
+        import networkx as nx
+
+        rng = random.Random(5400 + n)
+        kind = _mask_type(n)
+        pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for _ in range(6):
+            size = rng.randint(1, min(len(pool), 2 * n))
+            ug = UndirectedGraph(n, tuple(sorted(rng.sample(pool, size))))
+            g = nx_graph(ug)
+            bridges = {tuple(sorted(e)) for e in nx.bridges(g)}
+            adj = np.array([ug.adjacency_masks()], dtype=kind)
+            edges = np.array([ug.edges], dtype=kind)
+            for x, y in ((edges[..., 0], edges[..., 1]), (edges[..., 1], edges[..., 0])):
+                sides = _edge_sides(adj, x, y)
+                assert sides.dtype == kind
+                for a, b, side in zip(x[0].tolist(), y[0].tolist(), sides[0].tolist()):
+                    assert (side >> b & 1) == ((min(a, b), max(a, b)) not in bridges)
+                    h = g.copy()
+                    h.remove_edge(a, b)
+                    assert side == sum(1 << w for w in nx.node_connected_component(h, a))
